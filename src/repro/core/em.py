@@ -19,6 +19,17 @@ agree to float tolerance (tested in tests/test_spark_em.py).
 Identifiability: ``α β φ`` is invariant under rescaling, so after each
 M-step we renormalise ``mean(ln α) = mean(ln φ) = 0``, folding both scales
 into β (DESIGN.md §5).
+
+Work that depends only on the answers runs once per :func:`tcrowd_em` call.
+:class:`AnswerLayout` holds the id arrays, their split into continuous and
+categorical answers and, per column, the cell grouping (for a categorical
+column, also the grouping of answers into distinct ``(row, label)`` pairs),
+so each E-step runs only the array kernels. The
+E-steps inside the loop return just the M-step statistics; only the final
+one assembles the :class:`CatPosterior` dict and the ``cont_cells`` frame.
+Every floating-point operation runs on the same values in the same order as
+the per-column kernels, so the results are bit-identical to theirs
+(DESIGN.md §4).
 """
 from __future__ import annotations
 
@@ -32,6 +43,14 @@ from ..crowd.stats import erf
 
 _Q_CLIP = 1e-9
 _LN_CLAMP = 14.0
+
+# Hyper-parameter defaults, shared by tcrowd_em, m_step and the Spark engine.
+EPS = 1.0  # ε of Eq. 2 (DESIGN.md §5)
+MAX_ITER = 40
+TOL = 1e-3  # EM stops when no log-parameter moves more than this
+GRAD_ITERS = 25  # gradient steps per M-step
+REG_ALPHA = 2.0  # ridge on ln α_i (see q_objective)
+REG_PHI = 0.5  # ridge on ln φ_u
 
 
 @dataclass
@@ -100,6 +119,20 @@ class TCrowdResult:
 # E-step kernels (shared with the Spark engine).
 # ---------------------------------------------------------------------------
 
+def cont_posterior_arrays(
+    inv: np.ndarray, values: np.ndarray, v: np.ndarray, mu0: float, var0: float
+):
+    """Array kernel of :func:`estep_continuous_column`; ``inv`` maps each
+    answer to its cell. Returns ``(t_mu, t_phi, s_per_answer)``."""
+    prec = 1.0 / v
+    sum_prec = np.bincount(inv, weights=prec)
+    sum_pv = np.bincount(inv, weights=prec * values)
+    t_phi = 1.0 / (sum_prec + 1.0 / var0)
+    t_mu = (sum_pv + mu0 / var0) * t_phi
+    s = (values - t_mu[inv]) ** 2 + t_phi[inv]
+    return t_mu, t_phi, s
+
+
 def estep_continuous_column(
     rows: np.ndarray, values: np.ndarray, v: np.ndarray, mu0: float, var0: float
 ):
@@ -109,13 +142,72 @@ def estep_continuous_column(
     M-step sufficient statistic ``(a - T_μ)² + T_φ``.
     """
     cell_rows, inv = np.unique(rows, return_inverse=True)
-    prec = 1.0 / v
-    sum_prec = np.bincount(inv, weights=prec)
-    sum_pv = np.bincount(inv, weights=prec * values)
-    t_phi = 1.0 / (sum_prec + 1.0 / var0)
-    t_mu = (sum_pv + mu0 / var0) * t_phi
-    s = (values - t_mu[inv]) ** 2 + t_phi[inv]
-    return cell_rows, t_mu, t_phi, s
+    return (cell_rows, *cont_posterior_arrays(inv, values, v, mu0, var0))
+
+
+@dataclass(frozen=True)
+class CatGroups:
+    """How the answers of one categorical column group; depends only on the
+    answers. Answers collapse to distinct ``(row, label)`` pairs sorted by
+    row, then label, so the pairs of each cell are contiguous."""
+
+    pair_inv: np.ndarray  # answer -> pair
+    pair_label: np.ndarray  # pair -> label
+    cell_rows: np.ndarray  # cell -> row
+    cell_inv: np.ndarray  # pair -> cell (non-decreasing)
+    n_answered: np.ndarray  # cell -> distinct labels answered
+
+
+def cat_groups(rows: np.ndarray, values: np.ndarray, n_labels: int) -> CatGroups:
+    """Grouping step of :func:`estep_categorical_column`."""
+    labels = values.astype(np.int64)
+    key = rows.astype(np.int64) * n_labels + labels
+    pair_key, pair_inv = np.unique(key, return_inverse=True)
+    cell_rows, cell_inv = np.unique(pair_key // n_labels, return_inverse=True)
+    n_answered = np.bincount(cell_inv, minlength=len(cell_rows))
+    return CatGroups(pair_inv, pair_key % n_labels, cell_rows, cell_inv, n_answered)
+
+
+def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: float):
+    """Array kernel of :func:`estep_categorical_column`.
+
+    Returns ``(pair_p, p0, w_per_answer, q_per_answer)``: the posterior of
+    each answered ``(row, label)`` pair and, per cell, the probability
+    ``p0`` of each of its unanswered labels.
+    """
+    t = eps / np.sqrt(2.0 * v)
+    q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
+    delta = np.log(q) - np.log((1.0 - q) / (n_labels - 1))
+
+    cell_inv = groups.cell_inv
+    pair_delta = np.bincount(groups.pair_inv, weights=delta)
+    n_cells = len(groups.cell_rows)
+    mx = np.zeros(n_cells)  # include the unanswered labels' delta of 0
+    np.maximum.at(mx, cell_inv, pair_delta)
+    ex = np.exp(pair_delta - mx[cell_inv])
+    sum_ex = np.bincount(cell_inv, weights=ex, minlength=n_cells)
+    n_un = n_labels - groups.n_answered
+    z = sum_ex + n_un * np.exp(-mx)
+    pair_p = ex / z[cell_inv]
+    p0 = np.exp(-mx) / z
+    w = pair_p[groups.pair_inv]  # per-answer posterior prob that its label is truth
+    return pair_p, p0, w, q
+
+
+def cat_posteriors(
+    groups: CatGroups, pair_p: np.ndarray, p0: np.ndarray, n_labels: int
+) -> dict[int, CatPosterior]:
+    """One :class:`CatPosterior` per cell, keyed by row."""
+    bounds = np.cumsum(groups.n_answered)[:-1]
+    labels = np.split(groups.pair_label.astype(np.float64), bounds)
+    probs = np.split(pair_p, bounds)
+    n_un = (n_labels - groups.n_answered).tolist()
+    return {
+        row: CatPosterior(labels=lab, probs=pr, n_unanswered=nu, p0=p)
+        for row, lab, pr, nu, p in zip(
+            groups.cell_rows.tolist(), labels, probs, n_un, p0.tolist()
+        )
+    }
 
 
 def estep_categorical_column(
@@ -127,47 +219,31 @@ def estep_categorical_column(
     maps row -> CatPosterior and ``w`` is the posterior probability that the
     answer equals the truth (the M-step sufficient statistic).
     """
-    t = eps / np.sqrt(2.0 * v)
-    q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
-    delta = np.log(q) - np.log((1.0 - q) / (n_labels - 1))
-
-    labels = values.astype(np.int64)
-    key = rows.astype(np.int64) * n_labels + labels
-    pair_key, pair_inv = np.unique(key, return_inverse=True)
-    pair_delta = np.bincount(pair_inv, weights=delta)
-    pair_row = pair_key // n_labels
-    pair_label = pair_key % n_labels
-
-    cell_rows, cell_inv = np.unique(pair_row, return_inverse=True)
-    n_cells = len(cell_rows)
-    mx = np.zeros(n_cells)  # include the unanswered labels' delta of 0
-    np.maximum.at(mx, cell_inv, pair_delta)
-    ex = np.exp(pair_delta - mx[cell_inv])
-    sum_ex = np.bincount(cell_inv, weights=ex, minlength=n_cells)
-    n_answered = np.bincount(cell_inv, minlength=n_cells)
-    n_un = n_labels - n_answered
-    z = sum_ex + n_un * np.exp(-mx)
-    pair_p = ex / z[cell_inv]
-    p0 = np.exp(-mx) / z
-
-    posteriors: dict[int, CatPosterior] = {}
-    order = np.argsort(cell_inv, kind="stable")
-    bounds = np.searchsorted(cell_inv[order], np.arange(n_cells + 1))
-    for c in range(n_cells):
-        sl = order[bounds[c] : bounds[c + 1]]
-        posteriors[int(cell_rows[c])] = CatPosterior(
-            labels=pair_label[sl].astype(np.float64),
-            probs=pair_p[sl],
-            n_unanswered=int(n_un[c]),
-            p0=float(p0[c]),
-        )
-    w = pair_p[pair_inv]  # per-answer posterior prob that its label is truth
-    return posteriors, w, q
+    groups = cat_groups(rows, values, n_labels)
+    pair_p, p0, w, q = cat_posterior_arrays(groups, v, n_labels, eps)
+    return cat_posteriors(groups, pair_p, p0, n_labels), w, q
 
 
 # ---------------------------------------------------------------------------
 # M-step (shared by both engines; parameters live on the driver).
 # ---------------------------------------------------------------------------
+
+_SPLIT_KEYS = ("row", "col", "worker", "s", "w", "n_labels")
+
+
+def split_by_kind(stats: dict, keys: tuple = _SPLIT_KEYS) -> dict:
+    """The per-answer statistics :func:`q_objective` reads, split into the
+    continuous (``"cont"``) and categorical (``"cat"``) answers; ``idx``
+    holds their positions among all answers. :func:`run_estep` passes the
+    split in ``stats`` under ``"by_kind"``, slicing ``s`` and ``w`` along the
+    id split its :class:`AnswerLayout` made once; for statistics without it
+    :func:`m_step` splits once per call."""
+    out = {}
+    for kind, sel in (("cont", ~stats["is_cat"]), ("cat", stats["is_cat"])):
+        idx = np.flatnonzero(sel)
+        out[kind] = {"idx": idx} | {k: stats[k][idx] for k in keys}
+    return out
+
 
 def q_objective(
     stats: dict,
@@ -187,28 +263,37 @@ def q_objective(
     worker whose answers happen to match the estimated truth exactly drifts
     to φ → 0 (q → 1) unboundedly; the prior keeps it finite. The
     returned gradient is per-answer only; the α-penalty gradient is applied
-    in :func:`m_step`."""
-    r, c, u = stats["row"], stats["col"], stats["worker"]
-    lnv = state.ln_alpha[r] + state.ln_beta[c] + state.ln_phi[u]
-    v = np.exp(lnv)
-    is_cat = stats["is_cat"]
-    s, w, nl = stats["s"], stats["w"], stats["n_labels"]
+    in :func:`m_step`.
 
-    g = np.empty(len(r))
-    qv = np.zeros(len(r))
+    ``stats["by_kind"]`` is :func:`split_by_kind` of ``stats``, computed here
+    when absent. The per-answer terms are scattered back in answer order,
+    so sums over them add in the same order either way."""
+    by_kind = stats.get("by_kind")
+    if by_kind is None:
+        by_kind = split_by_kind(stats)
+    n = len(stats["row"])
+    g = np.empty(n)
+    qv = np.zeros(n)
 
-    cont = ~is_cat
-    if cont.any():
-        vc = v[cont]
-        qv[cont] = -0.5 * np.log(2.0 * np.pi * vc) - s[cont] / (2.0 * vc)
-        g[cont] = -0.5 + s[cont] / (2.0 * vc)
-    if is_cat.any():
-        t = eps / np.sqrt(2.0 * v[is_cat])
+    def v_of(part):
+        return np.exp(
+            state.ln_alpha[part["row"]] + state.ln_beta[part["col"]]
+            + state.ln_phi[part["worker"]]
+        )
+
+    cont = by_kind["cont"]
+    if len(cont["idx"]):
+        vc, s = v_of(cont), cont["s"]
+        qv[cont["idx"]] = -0.5 * np.log(2.0 * np.pi * vc) - s / (2.0 * vc)
+        g[cont["idx"]] = -0.5 + s / (2.0 * vc)
+    cat = by_kind["cat"]
+    if len(cat["idx"]):
+        t = eps / np.sqrt(2.0 * v_of(cat))
         q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
-        wc, nlc = w[is_cat], nl[is_cat]
-        qv[is_cat] = wc * np.log(q) + (1.0 - wc) * np.log((1.0 - q) / (nlc - 1))
+        wc, nlc = cat["w"], cat["n_labels"]
+        qv[cat["idx"]] = wc * np.log(q) + (1.0 - wc) * np.log((1.0 - q) / (nlc - 1))
         dq_dlnv = -t * np.exp(-t * t) / np.sqrt(np.pi)
-        g[is_cat] = (wc / q - (1.0 - wc) / (1.0 - q)) * dq_dlnv
+        g[cat["idx"]] = (wc / q - (1.0 - wc) / (1.0 - q)) * dq_dlnv
     total = (
         float(qv.sum())
         - reg_alpha * float(np.sum(state.ln_alpha**2))
@@ -222,11 +307,11 @@ def m_step(
     state: EMState,
     eps: float,
     *,
-    grad_iters: int = 25,
+    grad_iters: int = GRAD_ITERS,
     lr0: float = 0.3,
     tol: float = 1e-5,
-    reg_alpha: float = 2.0,
-    reg_phi: float = 0.5,
+    reg_alpha: float = REG_ALPHA,
+    reg_phi: float = REG_PHI,
 ) -> tuple[EMState, float]:
     """Gradient ascent on Q in log-parameter space with backtracking.
 
@@ -236,16 +321,18 @@ def m_step(
     st = state.copy()
     n, m, u_n = len(st.ln_alpha), len(st.ln_beta), len(st.ln_phi)
     r, c, u = stats["row"], stats["col"], stats["worker"]
+    if "by_kind" not in stats:
+        stats = {**stats, "by_kind": split_by_kind(stats)}
+    # Normalise by answer counts so the step size is scale-free.
+    na = np.maximum(np.bincount(r, minlength=n), 1)
+    nb = np.maximum(np.bincount(c, minlength=m), 1)
+    np_ = np.maximum(np.bincount(u, minlength=u_n), 1)
     lr = lr0
     q_cur, g = q_objective(stats, st, eps, reg_alpha, reg_phi)
     for _ in range(grad_iters):
         ga = np.bincount(r, weights=g, minlength=n) - 2.0 * reg_alpha * st.ln_alpha
         gb = np.bincount(c, weights=g, minlength=m)
         gp = np.bincount(u, weights=g, minlength=u_n) - 2.0 * reg_phi * st.ln_phi
-        # Normalise by answer counts so the step size is scale-free.
-        na = np.maximum(np.bincount(r, minlength=n), 1)
-        nb = np.maximum(np.bincount(c, minlength=m), 1)
-        np_ = np.maximum(np.bincount(u, minlength=u_n), 1)
         step_a, step_b, step_p = ga / na, gb / nb, gp / np_
         accepted = False
         for _try in range(10):
@@ -309,58 +396,107 @@ def init_state(
     return EMState(np.zeros(n_rows), ln_beta, np.zeros(n_workers))
 
 
+@dataclass(frozen=True)
+class AnswerLayout:
+    """Everything the E-step needs that depends only on the answers: the id
+    arrays, the per-answer kind, the ids split by kind, and per answered
+    column its answers' positions and cell grouping. Built once per
+    :func:`tcrowd_em` call."""
+
+    row: np.ndarray
+    col: np.ndarray
+    worker: np.ndarray
+    is_cat: np.ndarray  # per answer
+    n_labels: np.ndarray  # per answer; 1 for continuous answers
+    by_kind: dict  # split_by_kind of the ids and n_labels
+    cat_cols: list  # (j, idx, n_labels, CatGroups), in column order
+    cont_cols: list  # (j, idx, values, inv, cell_rows), in column order
+
+    @classmethod
+    def build(cls, answers: pd.DataFrame, schema: TableSchema) -> "AnswerLayout":
+        r_all = answers["row"].to_numpy(dtype=np.int64)
+        c_all = answers["col"].to_numpy(dtype=np.int64)
+        val_all = answers["value"].to_numpy(dtype=np.float64)
+        is_cat = np.zeros(len(answers), dtype=bool)
+        n_labels = np.ones(len(answers))
+        cat_cols, cont_cols = [], []
+        for j, cspec in enumerate(schema.columns):
+            idx = np.flatnonzero(c_all == j)
+            if not len(idx):
+                continue
+            rows, vals = r_all[idx], val_all[idx]
+            if cspec.is_categorical:
+                is_cat[idx] = True
+                n_labels[idx] = cspec.n_labels
+                groups = cat_groups(rows, vals, cspec.n_labels)
+                cat_cols.append((j, idx, cspec.n_labels, groups))
+            else:
+                cell_rows, inv = np.unique(rows, return_inverse=True)
+                cont_cols.append((j, idx, vals, inv, cell_rows))
+        ids = {
+            "row": r_all, "col": c_all,
+            "worker": answers["worker"].to_numpy(dtype=np.int64),
+            "is_cat": is_cat, "n_labels": n_labels,
+        }
+        by_kind = split_by_kind(ids, ("row", "col", "worker", "n_labels"))
+        return cls(**ids, by_kind=by_kind, cat_cols=cat_cols, cont_cols=cont_cols)
+
+
 def run_estep(
-    answers: pd.DataFrame, schema: TableSchema, state: EMState, priors: dict, eps: float
+    layout: AnswerLayout,
+    state: EMState,
+    priors: dict,
+    eps: float,
+    *,
+    posteriors: bool = True,
 ):
-    """One full E-step over all columns. Returns (cont_cells, cat_cells,
-    stats) where stats is the per-answer sufficient-statistics dict the
-    M-step consumes."""
-    r_all = answers["row"].to_numpy(dtype=np.int64)
-    c_all = answers["col"].to_numpy(dtype=np.int64)
-    u_all = answers["worker"].to_numpy(dtype=np.int64)
-    val_all = answers["value"].to_numpy(dtype=np.float64)
-    v_all = np.exp(state.ln_alpha[r_all] + state.ln_beta[c_all] + state.ln_phi[u_all])
+    """One full E-step over all columns of the answers ``layout`` was built
+    from. Returns (cont_cells, cat_cells, stats) where stats is the
+    per-answer sufficient-statistics dict the M-step consumes, with its
+    :func:`split_by_kind` under ``"by_kind"``. With ``posteriors=False``
+    only ``stats`` is computed, and ``cont_cells`` and ``cat_cells`` are
+    None."""
+    v_all = np.exp(
+        state.ln_alpha[layout.row] + state.ln_beta[layout.col]
+        + state.ln_phi[layout.worker]
+    )
 
-    s = np.zeros(len(answers))
-    w = np.zeros(len(answers))
-    is_cat = np.zeros(len(answers), dtype=bool)
-    n_labels = np.ones(len(answers))
+    s = np.zeros(len(layout.row))
+    w = np.zeros(len(layout.row))
     cont_rows, cat_cells = [], {}
-
-    for j, cspec in enumerate(schema.columns):
-        mask = c_all == j
-        if not mask.any():
-            continue
-        rows, vals, v = r_all[mask], val_all[mask], v_all[mask]
-        if cspec.is_categorical:
-            posts, w_j, _ = estep_categorical_column(rows, vals, v, cspec.n_labels, eps)
-            w[mask] = w_j
-            is_cat[mask] = True
-            n_labels[mask] = cspec.n_labels
-            for row, post in posts.items():
+    for j, idx, n_labels, groups in layout.cat_cols:
+        pair_p, p0, w[idx], _ = cat_posterior_arrays(groups, v_all[idx], n_labels, eps)
+        if posteriors:
+            for row, post in cat_posteriors(groups, pair_p, p0, n_labels).items():
                 cat_cells[(row, j)] = post
-        else:
-            mu0, var0 = priors[j]
-            cell_rows, t_mu, t_phi, s_j = estep_continuous_column(rows, vals, v, mu0, var0)
-            s[mask] = s_j
+    for j, idx, vals, inv, cell_rows in layout.cont_cols:
+        mu0, var0 = priors[j]
+        t_mu, t_phi, s[idx] = cont_posterior_arrays(inv, vals, v_all[idx], mu0, var0)
+        if posteriors:
             cont_rows.append(
                 pd.DataFrame({"row": cell_rows, "col": j, "t_mu": t_mu, "t_phi": t_phi})
             )
 
+    stats = {
+        "row": layout.row,
+        "col": layout.col,
+        "worker": layout.worker,
+        "is_cat": layout.is_cat,
+        "s": s,
+        "w": w,
+        "n_labels": layout.n_labels,
+        "by_kind": {
+            kind: ids | {"s": s[ids["idx"]], "w": w[ids["idx"]]}
+            for kind, ids in layout.by_kind.items()
+        },
+    }
+    if not posteriors:
+        return None, None, stats
     cont_cells = (
         pd.concat(cont_rows, ignore_index=True)
         if cont_rows
         else pd.DataFrame(columns=["row", "col", "t_mu", "t_phi"])
     )
-    stats = {
-        "row": r_all,
-        "col": c_all,
-        "worker": u_all,
-        "is_cat": is_cat,
-        "s": s,
-        "w": w,
-        "n_labels": n_labels,
-    }
     return cont_cells, cat_cells, stats
 
 
@@ -393,12 +529,12 @@ def tcrowd_em(
     *,
     n_rows: int | None = None,
     n_workers: int | None = None,
-    eps: float = 1.0,
-    max_iter: int = 40,
-    tol: float = 1e-3,
-    grad_iters: int = 25,
-    reg_alpha: float = 2.0,
-    reg_phi: float = 0.5,
+    eps: float = EPS,
+    max_iter: int = MAX_ITER,
+    tol: float = TOL,
+    grad_iters: int = GRAD_ITERS,
+    reg_alpha: float = REG_ALPHA,
+    reg_phi: float = REG_PHI,
     warm_state: EMState | None = None,
 ) -> TCrowdResult:
     """Full T-Crowd truth inference (Algorithm 1).
@@ -423,11 +559,12 @@ def tcrowd_em(
             np.pad(state.ln_phi, (0, n_workers - len(state.ln_phi))),
         )
 
+    layout = AnswerLayout.build(answers, schema)
     q_trace: list[float] = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        cont_cells, cat_cells, stats = run_estep(answers, schema, state, priors, eps)
+        _, _, stats = run_estep(layout, state, priors, eps, posteriors=False)
         new_state, q_val = m_step(
             stats, state, eps, grad_iters=grad_iters, reg_alpha=reg_alpha,
             reg_phi=reg_phi,
@@ -443,7 +580,7 @@ def tcrowd_em(
             converged = True
             break
     # Final E-step with the converged parameters.
-    cont_cells, cat_cells, _ = run_estep(answers, schema, state, priors, eps)
+    cont_cells, cat_cells, _ = run_estep(layout, state, priors, eps)
     quality = np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
     return TCrowdResult(
         state=state,

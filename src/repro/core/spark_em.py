@@ -34,6 +34,12 @@ from pyspark.sql import types as T
 from ..crowd.schema import TableSchema
 from ..crowd.stats import erf
 from .em import (
+    EPS,
+    GRAD_ITERS,
+    MAX_ITER,
+    REG_ALPHA,
+    REG_PHI,
+    TOL,
     EMState,
     estep_categorical_column,
     estep_continuous_column,
@@ -158,10 +164,12 @@ def tcrowd_em_spark(
     answers: DataFrame,
     schema: TableSchema,
     *,
-    eps: float = 1.0,
-    max_iter: int = 40,
-    tol: float = 1e-3,
-    grad_iters: int = 25,
+    eps: float = EPS,
+    max_iter: int = MAX_ITER,
+    tol: float = TOL,
+    grad_iters: int = GRAD_ITERS,
+    reg_alpha: float = REG_ALPHA,
+    reg_phi: float = REG_PHI,
 ) -> SparkEMResult:
     """Full T-Crowd EM with the E-step distributed via Spark (Algorithm 1)."""
     first = answers.agg(
@@ -211,7 +219,10 @@ def tcrowd_em_spark(
             "w": stats_pdf["w"].to_numpy(np.float64),
             "n_labels": stats_pdf["n_labels"].to_numpy(np.float64),
         }
-        new_state, q_val = m_step(stats, state, eps, grad_iters=grad_iters)
+        new_state, q_val = m_step(
+            stats, state, eps, grad_iters=grad_iters, reg_alpha=reg_alpha,
+            reg_phi=reg_phi,
+        )
         q_trace.append(q_val)
         moved = max(
             np.abs(new_state.ln_alpha - state.ln_alpha).max(initial=0.0),

@@ -22,7 +22,7 @@ import pandas as pd
 
 from ..core.assignment import AssignmentView
 from ..core.correlation import fit_error_model
-from ..core.em import EMState, tcrowd_em
+from ..core.em import MAX_ITER, EMState, tcrowd_em
 from .metrics import error_rate, mnad
 from .schema import CrowdDataset, TableSchema
 from .workers import EPSILON, WorkerPool, default_beta
@@ -190,7 +190,7 @@ def run_simulation(
             n_rows=n_rows,
             n_workers=world.pool.n_workers,
             warm_state=warm,
-            max_iter=40 if full else config.reinfer_em_iters,
+            max_iter=MAX_ITER if full else config.reinfer_em_iters,
         )
 
     needs_model = inference == "tcrowd"

@@ -3,8 +3,9 @@
 The container has no scipy, so we build the three special functions used by
 T-Crowd and the CATD baseline from scratch:
 
-* :func:`erf` — vectorised Gauss error function (stdlib ``math.erf`` mapped
-  over numpy arrays; exact to double precision).
+* :func:`erf` — Gauss error function: stdlib ``math.erf`` applied to each
+  element of an array (a Python-level loop, not a numpy ufunc; exactly
+  ``math.erf``, so results match it bit for bit).
 * :func:`norm_ppf` — inverse standard-normal CDF via Acklam's rational
   approximation (|rel err| < 1.15e-9), used for confidence intervals.
 * :func:`chi2_ppf` — chi-squared quantile via the Wilson–Hilferty cube-root
@@ -19,14 +20,15 @@ import math
 
 import numpy as np
 
-_VEC_ERF = np.frompyfunc(math.erf, 1, 1)
-
 
 def erf(x: np.ndarray | float) -> np.ndarray | float:
-    """Gauss error function, elementwise over scalars or arrays."""
+    """Gauss error function, elementwise over scalars or arrays.
+
+    An array input gives a float64 array of the same shape."""
     if np.isscalar(x):
         return math.erf(float(x))
-    return _VEC_ERF(np.asarray(x, dtype=np.float64)).astype(np.float64)
+    a = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(math.erf, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
 
 
 def erfinv(y: np.ndarray | float) -> np.ndarray | float:

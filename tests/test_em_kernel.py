@@ -1,11 +1,17 @@
 """Unit tests for the T-Crowd EM kernel (repro.core.em)."""
+import json
 import math
+import platform
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.em import (
+    AnswerLayout,
     CatPosterior,
     EMState,
     column_priors,
@@ -16,6 +22,7 @@ from repro.core.em import (
     q_objective,
     result_truth,
     run_estep,
+    split_by_kind,
     tcrowd_em,
 )
 from repro.crowd import datasets as D
@@ -342,3 +349,185 @@ class TestRecovery:
         res = tcrowd_em(ds.answers, ds.schema)
         assert error_rate(res.truth, ds.truth, ds.schema) <= 0.05
         assert mnad(res.truth, ds.truth, ds.schema) <= 0.25
+
+
+# ---------------------------------------------------------------------------
+# The layout-driven E-step and the pre-split Q against reference versions.
+# ---------------------------------------------------------------------------
+
+def _reference_categorical(rows, values, v, n_labels, eps):
+    """The categorical E-step as one function with a per-cell loop: the
+    reference the grouping/kernel/assembly split must reproduce exactly."""
+    t = eps / np.sqrt(2.0 * v)
+    q = np.clip(np.asarray(erf(t), dtype=np.float64), 1e-9, 1.0 - 1e-9)
+    delta = np.log(q) - np.log((1.0 - q) / (n_labels - 1))
+    key = rows.astype(np.int64) * n_labels + values.astype(np.int64)
+    pair_key, pair_inv = np.unique(key, return_inverse=True)
+    pair_delta = np.bincount(pair_inv, weights=delta)
+    pair_row, pair_label = pair_key // n_labels, pair_key % n_labels
+    cell_rows, cell_inv = np.unique(pair_row, return_inverse=True)
+    n_cells = len(cell_rows)
+    mx = np.zeros(n_cells)
+    np.maximum.at(mx, cell_inv, pair_delta)
+    ex = np.exp(pair_delta - mx[cell_inv])
+    sum_ex = np.bincount(cell_inv, weights=ex, minlength=n_cells)
+    n_un = n_labels - np.bincount(cell_inv, minlength=n_cells)
+    z = sum_ex + n_un * np.exp(-mx)
+    pair_p = ex / z[cell_inv]
+    p0 = np.exp(-mx) / z
+    posteriors = {}
+    for c in range(n_cells):
+        sl = np.flatnonzero(cell_inv == c)
+        posteriors[int(cell_rows[c])] = CatPosterior(
+            pair_label[sl].astype(np.float64), pair_p[sl], int(n_un[c]), float(p0[c])
+        )
+    return posteriors, pair_p[pair_inv], q
+
+
+def _reference_estep(answers, schema, state, priors, eps):
+    """One E-step column by column over boolean masks, with no layout."""
+    r = answers["row"].to_numpy(dtype=np.int64)
+    c = answers["col"].to_numpy(dtype=np.int64)
+    u = answers["worker"].to_numpy(dtype=np.int64)
+    val = answers["value"].to_numpy(dtype=np.float64)
+    v_all = np.exp(state.ln_alpha[r] + state.ln_beta[c] + state.ln_phi[u])
+    n = len(answers)
+    s, w, is_cat, n_labels = np.zeros(n), np.zeros(n), np.zeros(n, bool), np.ones(n)
+    cont, cat_cells = [], {}
+    for j, cspec in enumerate(schema.columns):
+        m = c == j
+        if not m.any():
+            continue
+        if cspec.is_categorical:
+            posts, w[m], _ = _reference_categorical(r[m], val[m], v_all[m], cspec.n_labels, eps)
+            is_cat[m], n_labels[m] = True, cspec.n_labels
+            cat_cells.update({(row, j): p for row, p in posts.items()})
+        else:
+            rows, t_mu, t_phi, s[m] = estep_continuous_column(r[m], val[m], v_all[m], *priors[j])
+            cont.append(pd.DataFrame({"row": rows, "col": j, "t_mu": t_mu, "t_phi": t_phi}))
+    stats = dict(row=r, col=c, worker=u, is_cat=is_cat, s=s, w=w, n_labels=n_labels)
+    return pd.concat(cont, ignore_index=True), cat_cells, stats
+
+
+_ESTEP_SCHEMA = TableSchema(
+    columns=(
+        ColumnSpec("a", CATEGORICAL, n_labels=2),
+        ColumnSpec("x", CONTINUOUS, domain=(0.0, 10.0)),
+        ColumnSpec("b", CATEGORICAL, n_labels=5),
+        ColumnSpec("y", CONTINUOUS, domain=(-5.0, 5.0)),
+    )
+)
+
+
+@st.composite
+def _answers_and_state(draw):
+    """Answers to a 4-column table: 1 to ``per_cell`` answers per cell, with
+    labels drawn from 3 values so that a cell often repeats a label."""
+    n_rows, n_workers = draw(st.integers(1, 6)), 8
+    per_cell = draw(st.sampled_from([1, 4]))
+    recs = []
+    for row in range(n_rows):
+        for j, cspec in enumerate(_ESTEP_SCHEMA.columns):
+            k = draw(st.integers(1, per_cell))
+            workers = draw(st.permutations(range(n_workers)))[:k]
+            for wk in workers:
+                if cspec.is_categorical:
+                    value = float(draw(st.integers(0, min(2, cspec.n_labels - 1))))
+                else:
+                    value = draw(st.floats(-5.0, 10.0))
+                recs.append((wk, row, j, value))
+    answers = pd.DataFrame(recs, columns=["worker", "row", "col", "value"])
+    ln = st.floats(-2.0, 2.0)
+    state = EMState(
+        np.array(draw(st.lists(ln, min_size=n_rows, max_size=n_rows))),
+        np.array(draw(st.lists(ln, min_size=4, max_size=4))),
+        np.array(draw(st.lists(ln, min_size=n_workers, max_size=n_workers))),
+    )
+    return answers, state
+
+
+class TestLayoutEstep:
+    @given(_answers_and_state())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_column_kernels(self, case):
+        answers, state = case
+        priors = column_priors(answers, _ESTEP_SCHEMA)
+        want_cont, want_cat, want_stats = _reference_estep(
+            answers, _ESTEP_SCHEMA, state, priors, 1.0
+        )
+        layout = AnswerLayout.build(answers, _ESTEP_SCHEMA)
+        cont, cat, stats = run_estep(layout, state, priors, 1.0)
+        none_cont, none_cat, lean_stats = run_estep(layout, state, priors, 1.0, posteriors=False)
+        assert none_cont is None and none_cat is None
+        want_split = split_by_kind(want_stats)
+        for got in (stats, lean_stats):
+            assert got.keys() == want_stats.keys() | {"by_kind"}
+            for k in want_stats:
+                assert got[k].dtype == want_stats[k].dtype
+                assert np.array_equal(got[k], want_stats[k]), k
+            for kind, want_part in want_split.items():
+                assert got["by_kind"][kind].keys() == want_part.keys()
+                for k, want_arr in want_part.items():
+                    assert got["by_kind"][kind][k].dtype == want_arr.dtype
+                    assert np.array_equal(got["by_kind"][kind][k], want_arr), (kind, k)
+        pd.testing.assert_frame_equal(cont, want_cont, check_exact=True)
+        assert list(cat) == list(want_cat)
+        for key, want in want_cat.items():
+            got = cat[key]
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.probs, want.probs)
+            assert (got.n_unanswered, got.p0) == (want.n_unanswered, want.p0)
+
+
+def _reference_q_objective(stats, state, eps, reg_alpha, reg_phi):
+    """Q and its per-answer gradient over boolean masks, with no split."""
+    r, c, u, is_cat = stats["row"], stats["col"], stats["worker"], stats["is_cat"]
+    v = np.exp(state.ln_alpha[r] + state.ln_beta[c] + state.ln_phi[u])
+    s, w, nl = stats["s"], stats["w"], stats["n_labels"]
+    g, qv = np.empty(len(r)), np.zeros(len(r))
+    cont = ~is_cat
+    qv[cont] = -0.5 * np.log(2.0 * np.pi * v[cont]) - s[cont] / (2.0 * v[cont])
+    g[cont] = -0.5 + s[cont] / (2.0 * v[cont])
+    t = eps / np.sqrt(2.0 * v[is_cat])
+    q = np.clip(np.asarray(erf(t), dtype=np.float64), 1e-9, 1.0 - 1e-9)
+    wc, nlc = w[is_cat], nl[is_cat]
+    qv[is_cat] = wc * np.log(q) + (1.0 - wc) * np.log((1.0 - q) / (nlc - 1))
+    g[is_cat] = (wc / q - (1.0 - wc) / (1.0 - q)) * (-t * np.exp(-t * t) / np.sqrt(np.pi))
+    total = (
+        float(qv.sum())
+        - reg_alpha * float(np.sum(state.ln_alpha**2))
+        - reg_phi * float(np.sum(state.ln_phi**2))
+    )
+    return total, g
+
+
+class TestQObjectiveSplit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_with_and_without_pre_split(self, seed):
+        stats, state = TestMStep()._stats_and_state(seed=seed, n=300)
+        want_q, want_g = _reference_q_objective(stats, state, 1.0, 2.0, 0.5)
+        for given_stats in (stats, {**stats, "by_kind": split_by_kind(stats)}):
+            q, g = q_objective(given_stats, state, 1.0, 2.0, 0.5)
+            assert q == want_q
+            assert np.array_equal(g, want_g)
+
+
+class TestPinnedResult:
+    def test_tiny_matches_recorded_result(self, tiny_em):
+        """Truth and Q trace on ``tiny_ds`` equal, to the last bit, those the
+        per-column E-step and per-call M-step produced before the answer
+        layout existed. The bits depend on libm's ``erf`` and on numpy's
+        summation and ``np.unique``: the file records where they were made,
+        and a failure message names both environments."""
+        rec = json.loads((Path(__file__).parent / "data" / "tcrowd_em_tiny.json").read_text())
+        here = {
+            "machine": platform.machine(), "system": platform.system(),
+            "libc": " ".join(platform.libc_ver()), "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        env = f"recorded on {rec['recorded_on']}, running on {here}"
+        assert tiny_em.n_iters == rec["n_iters"], env
+        assert tiny_em.converged == rec["converged"], env
+        assert tiny_em.q_trace == rec["q_trace"], env
+        got = list(zip(tiny_em.truth["row"], tiny_em.truth["col"], tiny_em.truth["truth"]))
+        assert got == [tuple(t) for t in rec["truth"]], env

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.em import tcrowd_em
-from repro.core.spark_em import spark_estep, tcrowd_em_spark
+import pandas as pd
+
+from repro.core.em import estep_categorical_column, tcrowd_em
+from repro.core.spark_em import _estep_column_kernel, spark_estep, tcrowd_em_spark
 from repro.crowd.metrics import error_rate, mnad
 
 
@@ -43,6 +45,56 @@ class TestSparkVsNumpy:
         assert mnad(sp_truth, tiny_ds.truth, tiny_ds.schema) == pytest.approx(
             mnad(numpy_res.truth, tiny_ds.truth, tiny_ds.schema), rel=1e-6
         )
+
+
+    def test_regularisers_forwarded(self, spark, tiny_ds):
+        answers_df, _ = tiny_ds.to_spark(spark)
+        kw = dict(max_iter=12, reg_alpha=0.7, reg_phi=1.3)
+        sp = tcrowd_em_spark(answers_df, tiny_ds.schema, **kw)
+        ref = tcrowd_em(tiny_ds.answers, tiny_ds.schema, **kw)
+        default = tcrowd_em(tiny_ds.answers, tiny_ds.schema, max_iter=12)
+        assert np.abs(ref.state.ln_phi - default.state.ln_phi).max() > 1e-3
+        sp_truth = sp.truth.toPandas().sort_values(["row", "col"]).reset_index(drop=True)
+        np.testing.assert_allclose(
+            sp_truth["truth"].to_numpy(), ref.truth["truth"].to_numpy(), rtol=0, atol=1e-6
+        )
+        for name in ("ln_alpha", "ln_beta", "ln_phi"):
+            np.testing.assert_allclose(
+                getattr(sp.state, name), getattr(ref.state, name), rtol=0, atol=1e-6
+            )
+        np.testing.assert_allclose(sp.q_trace, ref.q_trace, rtol=1e-9)
+
+
+class TestEstepKernel:
+    """The ``applyInPandas`` kernel, called on a pandas frame directly."""
+
+    def _group(self, rows, values, v, n_labels):
+        n = len(rows)
+        return pd.DataFrame({
+            "row": rows, "col": 0, "worker": np.arange(n), "value": values,
+            "ln_alpha": np.log(v), "ln_beta": 0.0, "ln_phi": 0.0, "is_cat": True,
+            "n_labels": float(n_labels), "mu0": 0.0, "var0": 1.0,
+        })
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_categorical_cell_columns_match_posteriors(self, seed):
+        g = np.random.default_rng(seed)
+        n, n_labels = 60, 5
+        rows = g.integers(0, 15, n)
+        values = g.integers(0, 3, n).astype(np.float64)
+        v = g.choice([0.5, 1.0, 2.0], n)  # repeated variances make exact ties
+        # A cell of two equally trusted answers: a tie the lower label wins.
+        rows[:2], values[:2], v[:2] = 99, [3.0, 1.0], 1.0
+        out = _estep_column_kernel(1.0)(self._group(rows, values, v, n_labels))
+        order = np.lexsort((np.arange(n), rows))  # the kernel's (row, worker) sort
+        posts, w, _ = estep_categorical_column(rows[order], values[order], v[order],
+                                               n_labels, 1.0)
+        assert out["t_hat"].tolist() == [posts[r].argmax() for r in rows[order]]
+        assert posts[99].argmax() == 1.0
+        np.testing.assert_allclose(
+            out["t_entropy"], [posts[r].entropy() for r in rows[order]], rtol=0, atol=1e-12
+        )
+        assert out["w"].tolist() == w.tolist()
 
 
 class TestSparkDataflow:

@@ -23,6 +23,17 @@ class TestErf:
     def test_returns_float64_array(self):
         assert erf(np.array([0.1, 0.2])).dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "xs", [np.array(0.3), np.linspace(-2, 2, 6).reshape(2, 3), np.array([]),
+               np.zeros((0, 4)), np.array([1, 2], dtype=np.int64)],
+    )
+    def test_keeps_shape_float64(self, xs):
+        got = erf(xs)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == xs.shape and got.dtype == np.float64
+        want = [math.erf(float(x)) for x in xs.ravel()]
+        assert got.ravel().tolist() == want
+
     def test_odd_function(self):
         xs = np.linspace(0, 4, 20)
         np.testing.assert_allclose(erf(xs), -erf(-xs))
