@@ -36,7 +36,13 @@ import pandas as pd
 
 from ..crowd.schema import TableSchema
 from ..crowd.stats import erf
-from .correlation import Bernoulli, ErrorModel, Normal, combined_conditional
+from .correlation import (
+    Bernoulli,
+    ErrorModel,
+    Normal,
+    combined_conditional,
+    compute_errors,
+)
 from .em import TCrowdResult
 
 _EPS_Q = 1e-6
@@ -94,14 +100,6 @@ class LoopingPolicy:
         return cand[:k]
 
 
-def _cell_params(view: AssignmentView, worker: int, row: int, col: int):
-    st = view.result.state
-    ln_a = st.ln_alpha[row] if row < len(st.ln_alpha) else 0.0
-    ln_b = st.ln_beta[col]
-    ln_p = st.ln_phi[worker] if worker < len(st.ln_phi) else 0.0
-    return float(np.exp(ln_a + ln_b + ln_p))
-
-
 def _cont_entropy(t_phi: float) -> float:
     return 0.5 * float(np.log(2.0 * np.pi * np.e * max(t_phi, 1e-300)))
 
@@ -128,71 +126,163 @@ class EntropyPolicy:
         return cand[:k]
 
 
-def _cat_ig(post, q: float, n_labels: int) -> float:
-    """Expected Shannon-entropy drop of one categorical cell for a worker of
-    per-cell accuracy q (Eq. 6, local update).
+def _row_sum(m: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """``np.sum(m[i, :width[i]])`` for every row ``i``, bit for bit.
 
-    Enumerates the worker's possible answers over answered labels plus one
-    representative unanswered label (all unanswered labels are exchangeable).
+    numpy sums short vectors left to right but longer ones (8 or more
+    terms) pairwise, so the order depends on the vector's length. Each group
+    of rows of equal width is therefore reduced by numpy itself over exactly
+    that width."""
+    out = np.zeros(len(m))
+    for w in np.unique(width):
+        sel = width == w
+        out[sel] = m[sel, :w].sum(axis=1)
+    return out
+
+
+def _entropy_rows(p: np.ndarray, p_un: np.ndarray, n_un: np.ndarray) -> np.ndarray:
+    """Shannon entropy per row of the positive entries of ``p`` plus ``n_un``
+    labels at ``p_un`` each (:meth:`CatPosterior.entropy` per row).
+
+    The positive terms are moved to the front of their row, in order, so
+    each row sums exactly the terms the per-cell entropy sums."""
+    pos = p > 0
+    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
+    terms = np.take_along_axis(terms, np.argsort(~pos, axis=1, kind="stable"), axis=1)
+    h = -_row_sum(terms, pos.sum(axis=1))
+    un = (n_un > 0) & (p_un > 0)
+    return np.where(un, h - n_un * p_un * np.log(np.where(un, p_un, 1.0)), h)
+
+
+def cat_ig(
+    probs: np.ndarray,
+    n_ans: np.ndarray,
+    n_un: np.ndarray,
+    p0: np.ndarray,
+    n_labels: np.ndarray,
+    q: np.ndarray,
+) -> np.ndarray:
+    """Expected Shannon-entropy drop of categorical cells for a worker of
+    per-cell accuracy ``q`` (Eq. 6, local update), one cell per row.
+
+    Row ``i`` is a cell posterior: ``probs[i, :n_ans[i]]`` over its answered
+    labels (zero beyond), and ``n_un[i]`` unanswered labels at ``p0[i]``
+    each, out of ``n_labels[i]``. The worker's possible answers are
+    enumerated over the answered labels plus one representative unanswered
+    label (all unanswered labels are exchangeable).
     """
-    q = float(np.clip(q, _EPS_Q, 1.0 - _EPS_Q))
-    probs = np.asarray(post.probs, dtype=np.float64)
-    n_un = post.n_unanswered
-    p0 = post.p0
+    q = np.clip(q, _EPS_Q, 1.0 - _EPS_Q)
     wrong = (1.0 - q) / (n_labels - 1)
-
-    def _entropy(ans: np.ndarray, p_un: float, n_unans: int) -> float:
-        pos = ans[ans > 0]
-        h = -float(np.sum(pos * np.log(pos)))
-        if n_unans > 0 and p_un > 0:
-            h -= n_unans * p_un * np.log(p_un)
-        return h
-
-    h0 = _entropy(probs, p0, n_un)
-    exp_h = 0.0
-    # The worker answers some answered label idx: posterior ∝ prior ×
-    # likelihood; the predictive probability of that answer equals the
-    # posterior normaliser, so one pass gives both.
-    for idx in range(len(probs)):
-        lik = np.full(len(probs), wrong)
-        lik[idx] = q
-        new_ans = probs * lik
-        new_p0 = p0 * wrong
-        z = float(new_ans.sum() + n_un * new_p0)  # == P(answer = this label)
-        if z <= 0:
-            continue
-        exp_h += z * _entropy(new_ans / z, new_p0 / z, n_un)
-    # Or one of the n_un exchangeable unanswered labels: the chosen label
-    # gets likelihood q and leaves the pool, the other n_un−1 stay at
-    # ``wrong``; all n_un cases are identical.
-    if n_un > 0:
-        new_ans = np.append(probs * wrong, p0 * q)
-        new_p0 = p0 * wrong
-        z = float(new_ans.sum() + (n_un - 1) * new_p0)
-        if z > 0:
-            exp_h += n_un * z * _entropy(new_ans / z, new_p0 / z, n_un - 1)
+    n_cells, a_max = probs.shape
+    new_p0 = p0 * wrong
+    exp_h = np.zeros(n_cells)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = _entropy_rows(probs, p0, n_un)
+        # The worker answers answered label idx: posterior ∝ prior ×
+        # likelihood; the predictive probability of that answer equals the
+        # posterior normaliser, so one pass gives both.
+        for idx in range(a_max):
+            new = probs * wrong[:, None]
+            new[:, idx] = probs[:, idx] * q
+            z = _row_sum(new, n_ans) + n_un * new_p0  # == P(answer = idx)
+            h = _entropy_rows(new / z[:, None], new_p0 / z, n_un)
+            exp_h = np.where((idx < n_ans) & (z > 0), exp_h + z * h, exp_h)
+        # Or one of the n_un exchangeable unanswered labels: the chosen label
+        # gets likelihood q and leaves the pool, the other n_un−1 stay at
+        # ``wrong``; all n_un cases are identical.
+        new = np.zeros((n_cells, a_max + 1))
+        new[:, :a_max] = probs * wrong[:, None]
+        new[np.arange(n_cells), n_ans] = p0 * q
+        z = _row_sum(new, n_ans + 1) + (n_un - 1) * new_p0
+        h = _entropy_rows(new / z[:, None], new_p0 / z, n_un - 1)
+        exp_h = np.where((n_un > 0) & (z > 0), exp_h + n_un * z * h, exp_h)
     return h0 - exp_h
+
+
+def _cont_ig(t_phi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Closed-form continuous gain ``½ ln(T_φ / T_φ′)`` of one answer of
+    variance ``v``."""
+    return 0.5 * np.log(t_phi / (1.0 / (1.0 / t_phi + 1.0 / v)))
+
+
+@dataclass
+class _Cells:
+    """One kind of cell of a :class:`TCrowdResult` as arrays, one row per
+    cell: ``keys`` are the ``(row, col)`` pairs, ``data`` holds the per-cell
+    posterior arrays."""
+
+    keys: list
+    rows: np.ndarray
+    cols: np.ndarray
+    data: dict
+
+    def positions(self) -> dict:
+        """``(row, col)`` -> row of the arrays."""
+        return {cell: i for i, cell in enumerate(self.keys)}
+
+    def take(self, idx) -> dict:
+        return {k: v[idx] for k, v in self.data.items()}
+
+
+def _cat_cells(res: TCrowdResult, schema: TableSchema) -> _Cells:
+    """The categorical posteriors as a zero-padded ``(cells × A_max)``
+    matrix of answered-label probabilities plus per-cell arrays."""
+    keys = list(res.cat_cells)
+    posts = list(res.cat_cells.values())
+    n = len(posts)
+    rows = np.fromiter((r for r, _ in keys), np.int64, n)
+    cols = np.fromiter((c for _, c in keys), np.int64, n)
+    n_ans = np.fromiter((len(p.probs) for p in posts), np.int64, n)
+    probs = np.zeros((n, int(n_ans.max(initial=0))))
+    if n:
+        probs[np.arange(probs.shape[1]) < n_ans[:, None]] = np.concatenate(
+            [p.probs for p in posts]
+        )
+    labels = np.array([c.n_labels or 0 for c in schema.columns], dtype=np.int64)
+    data = {
+        "probs": probs,
+        "n_ans": n_ans,
+        "n_un": np.fromiter((p.n_unanswered for p in posts), np.int64, n),
+        "p0": np.fromiter((p.p0 for p in posts), np.float64, n),
+        "n_labels": labels[cols],
+    }
+    return _Cells(keys, rows, cols, data)
+
+
+def _cont_cells(res: TCrowdResult) -> _Cells:
+    rows = res.cont_cells["row"].to_numpy(np.int64)
+    cols = res.cont_cells["col"].to_numpy(np.int64)
+    t_phi = res.cont_cells["t_phi"].to_numpy(np.float64)
+    return _Cells(list(zip(rows.tolist(), cols.tolist())), rows, cols, {"t_phi": t_phi})
+
+
+def _answer_var(res: TCrowdResult, worker: int, cells: _Cells) -> np.ndarray:
+    """``exp(ln α_i + ln β_j + ln φ_u)`` per cell; a row or worker beyond the
+    state takes 0.0 in log space."""
+    st = res.state
+    ln_a = np.zeros(len(cells.rows))
+    known = cells.rows < len(st.ln_alpha)
+    ln_a[known] = st.ln_alpha[cells.rows[known]]
+    ln_p = st.ln_phi[worker] if worker < len(st.ln_phi) else 0.0
+    return np.exp(ln_a + st.ln_beta[cells.cols] + ln_p)
 
 
 class InherentIGPolicy:
     """Eq. 6: greedy top-K by inherent information gain."""
 
     def gains(self, view: AssignmentView, worker: int) -> dict:
+        return self._inherent(view, worker)[0]
+
+    def _inherent(self, view: AssignmentView, worker: int):
+        """The gain of every cell, with the cell arrays it was scored from."""
         res = view.result
-        eps = view.eps
-        ig: dict = {}
-        for rec in res.cont_cells.itertuples():
-            cell = (int(rec.row), int(rec.col))
-            v_u = _cell_params(view, worker, *cell)
-            t_phi = float(rec.t_phi)
-            t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_u)
-            ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
-        for cell, post in res.cat_cells.items():
-            v_u = _cell_params(view, worker, *cell)
-            q = float(erf(eps / np.sqrt(2.0 * v_u)))
-            n_labels = view.schema.column(cell[1]).n_labels
-            ig[cell] = _cat_ig(post, q, n_labels)
-        return ig
+        cont = _cont_cells(res)
+        cat = _cat_cells(res, view.schema)
+        v = _answer_var(res, worker, cont)
+        ig = dict(zip(cont.keys, _cont_ig(cont.data["t_phi"], v).tolist()))
+        q = erf(view.eps / np.sqrt(2.0 * _answer_var(res, worker, cat)))
+        ig.update(zip(cat.keys, cat_ig(**cat.data, q=q).tolist()))
+        return ig, cat, cont
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
         ig = self.gains(view, worker)
@@ -210,27 +300,20 @@ class StructureAwarePolicy(InherentIGPolicy):
         sub = view.answers[view.answers["worker"] == worker]
         if sub.empty or view.result is None:
             return {}
-        merged = sub.merge(view.result.truth, on=["row", "col"], how="inner")
-        cat = set(view.schema.categorical_idx)
+        errs = compute_errors(sub, view.result.truth, view.schema)
         out: dict = {}
-        for rec in merged.itertuples():
-            j = int(rec.col)
-            err = (
-                float(round(rec.value) != round(rec.truth))
-                if j in cat
-                else float(rec.value - rec.truth)
-            )
-            out.setdefault(int(rec.row), {})[j] = err
+        for row, col, err in zip(*(errs[f].tolist() for f in ("row", "col", "err"))):
+            out.setdefault(int(row), {})[int(col)] = float(err)
         return out
 
     def gains(self, view: AssignmentView, worker: int) -> dict:
-        ig = super().gains(view, worker)
+        ig, cat, cont = self._inherent(view, worker)
         model = view.error_model
         if model is None:
             return ig
-        observed = self._observed_errors(view, worker)
-        eps = view.eps
-        for row, errs in observed.items():
+        cat_at, cont_at = cat.positions(), cont.positions()
+        cat_idx, q_eff, cont_idx, v_eff = [], [], [], []
+        for row, errs in self._observed_errors(view, worker).items():
             for j in range(view.schema.n_cols):
                 cell = (row, j)
                 if cell not in ig or j in errs:
@@ -239,24 +322,20 @@ class StructureAwarePolicy(InherentIGPolicy):
                 if dist is None:
                     continue
                 if isinstance(dist, Bernoulli):
-                    post = view.result.cat_cells.get(cell)
-                    if post is None:
-                        continue
-                    q_eff = float(np.clip(1.0 - dist.p_wrong, _EPS_Q, 1.0 - _EPS_Q))
-                    n_labels = view.schema.column(j).n_labels
-                    ig[cell] = _cat_ig(post, q_eff, n_labels)
+                    cat_idx.append(cat_at[cell])
+                    q_eff.append(1.0 - dist.p_wrong)
                 else:
                     assert isinstance(dist, Normal)
-                    rec = view.result.cont_cells
-                    sel = rec[(rec["row"] == row) & (rec["col"] == j)]
-                    if sel.empty:
-                        continue
-                    t_phi = float(sel["t_phi"].iloc[0])
+                    cont_idx.append(cont_at[cell])
                     # Effective answer variance: conditional spread plus the
                     # predictable offset (a biased answer is less informative).
-                    v_eff = max(dist.var + dist.mu**2, 1e-12)
-                    t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_eff)
-                    ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
+                    v_eff.append(max(dist.var + dist.mu**2, 1e-12))
+        if cat_idx:
+            g = cat_ig(**cat.take(cat_idx), q=np.array(q_eff))
+            ig.update(zip([cat.keys[i] for i in cat_idx], g.tolist()))
+        if cont_idx:
+            g = _cont_ig(cont.take(cont_idx)["t_phi"], np.array(v_eff))
+            ig.update(zip([cont.keys[i] for i in cont_idx], g.tolist()))
         return ig
 
 

@@ -34,9 +34,6 @@ _VAR_FLOOR = 1e-9
 class Bernoulli:
     p_wrong: float  # P(e_j = 1)
 
-    def mean_wrong(self) -> float:
-        return self.p_wrong
-
 
 @dataclass
 class Normal:

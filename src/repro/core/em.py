@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from ..crowd.schema import TableSchema
+from ..crowd.schema import TableSchema, validate_answers
 from ..crowd.stats import erf
 
 _Q_CLIP = 1e-9
@@ -544,6 +544,7 @@ def tcrowd_em(
     """
     if len(answers) == 0:
         raise ValueError("no answers to infer from")
+    validate_answers(answers, schema)
     n_rows = n_rows if n_rows is not None else int(answers["row"].max()) + 1
     n_workers = n_workers if n_workers is not None else int(answers["worker"].max()) + 1
     priors = column_priors(answers, schema)

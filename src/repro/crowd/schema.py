@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import types as T
 
@@ -115,6 +116,37 @@ def restrict_answers(
     """Answers for only the columns of ``kind``; column indices unchanged."""
     keep = {j for j, c in enumerate(schema.columns) if c.kind == kind}
     return answers[answers["col"].isin(keep)].reset_index(drop=True)
+
+
+def validate_answers(answers: pd.DataFrame, schema: TableSchema) -> None:
+    """Reject malformed answers: raise ``ValueError`` naming the first one.
+
+    Malformed is a NaN or infinite value; a categorical value that is not an
+    integer label code in ``0..n_labels-1``; a negative worker, row or
+    column id, or a column id ``>= n_cols``.
+    """
+    worker, row, col, value = (
+        answers[f].to_numpy(np.float64) for f in ("worker", "row", "col", "value")
+    )
+    bad_id = ~((worker >= 0) & (row >= 0) & (col >= 0) & (col < schema.n_cols))
+    n_labels = np.array([c.n_labels or 0 for c in schema.columns], dtype=np.float64)
+    labels = n_labels[np.where(bad_id, 0, col).astype(np.int64)]
+    finite = np.isfinite(value)
+    bad_label = (labels > 0) & ~((value >= 0) & (value < labels) & (value == np.round(value)))
+    bad = bad_id | ~finite | bad_label
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    reason = (
+        "negative id or column out of range" if bad_id[i]
+        else "non-finite value" if not finite[i]
+        else f"not a label code 0..{int(labels[i]) - 1}"
+    )
+    raise ValueError(
+        f"malformed answer at position {i} (worker={answers['worker'].iloc[i]}, "
+        f"row={answers['row'].iloc[i]}, col={answers['col'].iloc[i]}, "
+        f"value={answers['value'].iloc[i]}): {reason}"
+    )
 
 
 @dataclass

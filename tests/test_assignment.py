@@ -1,11 +1,15 @@
 """Tests for the §5 assignment policies and information-gain math."""
+import dataclasses
 import math
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.assignment import (
+    _EPS_Q,
     AskItPolicy,
     AssignmentView,
     CdasPolicy,
@@ -14,11 +18,161 @@ from repro.core.assignment import (
     LoopingPolicy,
     RandomPolicy,
     StructureAwarePolicy,
-    _cat_ig,
+    cat_ig,
     uniform_entropy,
 )
-from repro.core.correlation import fit_error_model
-from repro.core.em import CatPosterior, tcrowd_em
+from repro.core.correlation import (
+    Bernoulli,
+    Normal,
+    combined_conditional,
+    fit_error_model,
+)
+from repro.core.em import CatPosterior, EMState, tcrowd_em
+from repro.crowd.stats import erf
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-cell scoring the array kernel replaced, kept verbatim.
+# ---------------------------------------------------------------------------
+
+def _cell_params(view: AssignmentView, worker: int, row: int, col: int):
+    st = view.result.state
+    ln_a = st.ln_alpha[row] if row < len(st.ln_alpha) else 0.0
+    ln_b = st.ln_beta[col]
+    ln_p = st.ln_phi[worker] if worker < len(st.ln_phi) else 0.0
+    return float(np.exp(ln_a + ln_b + ln_p))
+
+
+def _cat_ig(post, q: float, n_labels: int) -> float:
+    """Expected Shannon-entropy drop of one categorical cell for a worker of
+    per-cell accuracy q (Eq. 6, local update).
+
+    Enumerates the worker's possible answers over answered labels plus one
+    representative unanswered label (all unanswered labels are exchangeable).
+    """
+    q = float(np.clip(q, _EPS_Q, 1.0 - _EPS_Q))
+    probs = np.asarray(post.probs, dtype=np.float64)
+    n_un = post.n_unanswered
+    p0 = post.p0
+    wrong = (1.0 - q) / (n_labels - 1)
+
+    def _entropy(ans: np.ndarray, p_un: float, n_unans: int) -> float:
+        pos = ans[ans > 0]
+        h = -float(np.sum(pos * np.log(pos)))
+        if n_unans > 0 and p_un > 0:
+            h -= n_unans * p_un * np.log(p_un)
+        return h
+
+    h0 = _entropy(probs, p0, n_un)
+    exp_h = 0.0
+    # The worker answers some answered label idx: posterior ∝ prior ×
+    # likelihood; the predictive probability of that answer equals the
+    # posterior normaliser, so one pass gives both.
+    for idx in range(len(probs)):
+        lik = np.full(len(probs), wrong)
+        lik[idx] = q
+        new_ans = probs * lik
+        new_p0 = p0 * wrong
+        z = float(new_ans.sum() + n_un * new_p0)  # == P(answer = this label)
+        if z <= 0:
+            continue
+        exp_h += z * _entropy(new_ans / z, new_p0 / z, n_un)
+    # Or one of the n_un exchangeable unanswered labels: the chosen label
+    # gets likelihood q and leaves the pool, the other n_un−1 stay at
+    # ``wrong``; all n_un cases are identical.
+    if n_un > 0:
+        new_ans = np.append(probs * wrong, p0 * q)
+        new_p0 = p0 * wrong
+        z = float(new_ans.sum() + (n_un - 1) * new_p0)
+        if z > 0:
+            exp_h += n_un * z * _entropy(new_ans / z, new_p0 / z, n_un - 1)
+    return h0 - exp_h
+
+
+def _ref_inherent_gains(view: AssignmentView, worker: int) -> dict:
+    res = view.result
+    eps = view.eps
+    ig: dict = {}
+    for rec in res.cont_cells.itertuples():
+        cell = (int(rec.row), int(rec.col))
+        v_u = _cell_params(view, worker, *cell)
+        t_phi = float(rec.t_phi)
+        t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_u)
+        ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
+    for cell, post in res.cat_cells.items():
+        v_u = _cell_params(view, worker, *cell)
+        q = float(erf(eps / np.sqrt(2.0 * v_u)))
+        n_labels = view.schema.column(cell[1]).n_labels
+        ig[cell] = _cat_ig(post, q, n_labels)
+    return ig
+
+
+def _ref_observed_errors(view: AssignmentView, worker: int) -> dict:
+    sub = view.answers[view.answers["worker"] == worker]
+    if sub.empty or view.result is None:
+        return {}
+    merged = sub.merge(view.result.truth, on=["row", "col"], how="inner")
+    cat = set(view.schema.categorical_idx)
+    out: dict = {}
+    for rec in merged.itertuples():
+        j = int(rec.col)
+        err = (
+            float(round(rec.value) != round(rec.truth))
+            if j in cat
+            else float(rec.value - rec.truth)
+        )
+        out.setdefault(int(rec.row), {})[j] = err
+    return out
+
+
+def _ref_structure_gains(view: AssignmentView, worker: int) -> dict:
+    ig = _ref_inherent_gains(view, worker)
+    model = view.error_model
+    if model is None:
+        return ig
+    observed = _ref_observed_errors(view, worker)
+    for row, errs in observed.items():
+        for j in range(view.schema.n_cols):
+            cell = (row, j)
+            if cell not in ig or j in errs:
+                continue
+            dist = combined_conditional(model, j, errs)
+            if dist is None:
+                continue
+            if isinstance(dist, Bernoulli):
+                post = view.result.cat_cells.get(cell)
+                if post is None:
+                    continue
+                q_eff = float(np.clip(1.0 - dist.p_wrong, _EPS_Q, 1.0 - _EPS_Q))
+                n_labels = view.schema.column(j).n_labels
+                ig[cell] = _cat_ig(post, q_eff, n_labels)
+            else:
+                assert isinstance(dist, Normal)
+                rec = view.result.cont_cells
+                sel = rec[(rec["row"] == row) & (rec["col"] == j)]
+                if sel.empty:
+                    continue
+                t_phi = float(sel["t_phi"].iloc[0])
+                v_eff = max(dist.var + dist.mu**2, 1e-12)
+                t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_eff)
+                ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
+    return ig
+
+
+def _kernel(posts, q, n_labels) -> np.ndarray:
+    """Call :func:`cat_ig` on one row per posterior."""
+    n_ans = np.array([len(p.probs) for p in posts])
+    probs = np.zeros((len(posts), max(n_ans)))
+    for i, p in enumerate(posts):
+        probs[i, : n_ans[i]] = p.probs
+    return cat_ig(
+        probs,
+        n_ans,
+        np.array([p.n_unanswered for p in posts]),
+        np.array([p.p0 for p in posts], dtype=float),
+        np.asarray(n_labels),
+        np.asarray(q, dtype=float),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +194,31 @@ def view(tiny_ds, tiny_em):
     )
 
 
+@pytest.fixture(scope="module")
+def partial_view(view):
+    """Conditioning only applies to the *unanswered* cells of rows the
+    worker partially answered (in the HIT-batch data every touched row is
+    complete, so build a partial history: drop the worker's answers on
+    column 3). Returns ``(view, worker)``."""
+    w = int(view.answers["worker"].mode()[0])
+    a = view.answers
+    partial = a[~((a["worker"] == w) & (a["col"] == 3))].reset_index(drop=True)
+    answered = {
+        int(u): set(map(tuple, grp[["row", "col"]].itertuples(index=False)))
+        for u, grp in partial.groupby("worker")
+    }
+    view2 = AssignmentView(
+        schema=view.schema,
+        n_rows=view.n_rows,
+        answers=partial,
+        result=view.result,
+        error_model=view.error_model,
+        answered=answered,
+        counts=partial.groupby(["row", "col"]).size().to_dict(),
+    )
+    return view2, w
+
+
 class TestCatIG:
     def _post(self, probs, n_un=0, p0=0.0):
         return CatPosterior(
@@ -49,23 +228,26 @@ class TestCatIG:
             p0=p0,
         )
 
+    def _ig(self, post, q, n_labels):
+        return _kernel([post], [q], [n_labels])[0]
+
     def test_nonnegative_for_uncertain_cell(self):
         post = self._post([0.5, 0.5])
-        assert _cat_ig(post, q=0.8, n_labels=2) > 0
+        assert self._ig(post, q=0.8, n_labels=2) > 0
 
     def test_zero_for_certain_cell(self):
         post = self._post([1.0, 0.0])
-        assert _cat_ig(post, q=0.8, n_labels=2) == pytest.approx(0.0, abs=1e-9)
+        assert self._ig(post, q=0.8, n_labels=2) == pytest.approx(0.0, abs=1e-9)
 
     def test_useless_worker_gains_nothing(self):
         # q = 1/L: the worker's answer is uniformly random → no information.
         post = self._post([0.5, 0.5])
-        assert _cat_ig(post, q=0.5, n_labels=2) == pytest.approx(0.0, abs=1e-9)
+        assert self._ig(post, q=0.5, n_labels=2) == pytest.approx(0.0, abs=1e-9)
 
     def test_better_worker_more_gain(self):
         post = self._post([0.6, 0.4])
-        g_weak = _cat_ig(post, q=0.6, n_labels=2)
-        g_strong = _cat_ig(post, q=0.95, n_labels=2)
+        g_weak = self._ig(post, q=0.6, n_labels=2)
+        g_strong = self._ig(post, q=0.95, n_labels=2)
         assert g_strong > g_weak
 
     def test_binary_hand_computed(self):
@@ -74,14 +256,104 @@ class TestCatIG:
         post = self._post([0.5, 0.5])
         h_bern = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
         want = math.log(2) - h_bern
-        assert _cat_ig(post, q=0.9, n_labels=2) == pytest.approx(want, rel=1e-9)
+        assert self._ig(post, q=0.9, n_labels=2) == pytest.approx(want, rel=1e-9)
 
     def test_unanswered_labels_participate(self):
         # All mass on unanswered labels: still a proper distribution.
         post = self._post([0.4], n_un=3, p0=0.2)
-        ig = _cat_ig(post, q=0.9, n_labels=4)
+        ig = self._ig(post, q=0.9, n_labels=4)
         assert np.isfinite(ig)
         assert ig > 0
+
+
+@st.composite
+def _posteriors(draw):
+    """A batch of categorical cell posteriors with mixed label counts, some
+    zero probabilities, and q anywhere in [0, 1] including the clip bounds."""
+    posts, qs, labels = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        n_labels = draw(st.integers(2, 10))
+        n_ans = draw(st.integers(1, n_labels))
+        n_un = n_labels - n_ans
+        w = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                          min_size=n_ans + 1, max_size=n_ans + 1))
+        if sum(w[:n_ans]) + n_un * w[n_ans] <= 0:
+            w = [1.0] * (n_ans + 1)
+        total = sum(w[:n_ans]) + n_un * w[n_ans]
+        posts.append(CatPosterior(
+            labels=np.arange(n_ans, dtype=float),
+            probs=np.array(w[:n_ans]) / total,
+            n_unanswered=n_un,
+            p0=w[n_ans] / total if n_un else 0.0,
+        ))
+        qs.append(draw(st.one_of(st.sampled_from([0.0, _EPS_Q, 1 - _EPS_Q, 1.0]),
+                                 st.floats(0.0, 1.0))))
+        labels.append(n_labels)
+    return posts, qs, labels
+
+
+class TestCatIGKernel:
+    """The array kernel equals the per-cell reference bit for bit."""
+
+    @given(_posteriors())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference(self, batch):
+        posts, qs, labels = batch
+        want = [_cat_ig(p, q, n) for p, q, n in zip(posts, qs, labels)]
+        assert _kernel(posts, qs, labels).tolist() == want
+
+    def test_named_cases_in_one_call(self):
+        def post(probs, n_un=0, p0=0.0):
+            return CatPosterior(np.arange(len(probs), dtype=float),
+                                np.asarray(probs, dtype=float), n_un, p0)
+
+        wide = np.random.default_rng(4).random(9)
+        total = wide.sum() + 0.5
+        cases = [
+            (post([0.5, 0.5]), 0.8, 2),  # n_labels = 2, all answered
+            (post([0.7], n_un=2, p0=0.15), 0.9, 3),  # one answered label
+            (post([0.2, 0.3, 0.5]), 0.6, 3),  # n_unanswered = 0
+            (post([0.4, 0.6], n_un=3, p0=0.0), 0.0, 5),  # q at the lower clip
+            (post([0.1, 0.2, 0.3], n_un=1, p0=0.4), 1.0, 4),  # q at the upper clip
+            # 10 answered labels, one of them at zero: numpy sums pairwise.
+            (post(np.r_[wide[:4], 0.0, wide[4:]] / total, 1, 0.5 / total), 0.7, 11),
+        ]
+        posts, qs, labels = map(list, zip(*cases))
+        want = [_cat_ig(p, q, n) for p, q, n in cases]
+        got = _kernel(posts, qs, labels)
+        assert got.tolist() == want
+        assert np.isfinite(got).all()
+
+
+class TestGainsEqualReference:
+    """Both policies score every cell of the tiny view exactly as the per-cell
+    reference does."""
+
+    @pytest.mark.parametrize("worker", [0, 3, 7, 19])
+    def test_inherent(self, view, worker):
+        assert InherentIGPolicy().gains(view, worker) == _ref_inherent_gains(view, worker)
+
+    @pytest.mark.parametrize("worker", [0, 3, 7, 19])
+    def test_structure_aware(self, view, worker):
+        assert StructureAwarePolicy().gains(view, worker) == _ref_structure_gains(view, worker)
+
+    def test_structure_aware_partial_history(self, partial_view):
+        view2, w = partial_view
+        got = StructureAwarePolicy().gains(view2, w)
+        assert got == _ref_structure_gains(view2, w)
+        assert got != InherentIGPolicy().gains(view2, w)
+
+    def test_worker_and_rows_beyond_state(self, view):
+        # An unseen worker, and rows the state does not cover yet, take
+        # 0.0 in log space.
+        st = view.result.state
+        short = EMState(st.ln_alpha[:20], st.ln_beta, st.ln_phi)
+        view2 = dataclasses.replace(view, result=dataclasses.replace(view.result, state=short))
+        unseen = len(st.ln_phi) + 5
+        for worker in (0, unseen):
+            for policy, ref in ((InherentIGPolicy(), _ref_inherent_gains),
+                                (StructureAwarePolicy(), _ref_structure_gains)):
+                assert policy.gains(view2, worker) == ref(view2, worker)
 
 
 class TestUniformEntropy:
@@ -156,27 +428,8 @@ class TestPolicies:
         g_worst = sum(ig_policy.gains(view, worst_w).values())
         assert g_best > g_worst
 
-    def test_structure_aware_differs_from_inherent(self, view, tiny_ds, tiny_em):
-        # Conditioning only applies to the *unanswered* cells of rows the
-        # worker partially answered (in the HIT-batch data every touched row
-        # is complete, so build a partial history: drop the worker's answers
-        # on column 3).
-        w = int(view.answers["worker"].mode()[0])
-        a = view.answers
-        partial = a[~((a["worker"] == w) & (a["col"] == 3))].reset_index(drop=True)
-        answered = {
-            int(u): set(map(tuple, grp[["row", "col"]].itertuples(index=False)))
-            for u, grp in partial.groupby("worker")
-        }
-        view2 = AssignmentView(
-            schema=view.schema,
-            n_rows=view.n_rows,
-            answers=partial,
-            result=view.result,
-            error_model=view.error_model,
-            answered=answered,
-            counts=partial.groupby(["row", "col"]).size().to_dict(),
-        )
+    def test_structure_aware_differs_from_inherent(self, partial_view):
+        view2, w = partial_view
         base = InherentIGPolicy().gains(view2, w)
         sa = StructureAwarePolicy().gains(view2, w)
         diffs = [abs(base[c] - sa[c]) for c in base]

@@ -261,6 +261,21 @@ class TestFullEM:
         assert q[-1] > q[0]
         assert (np.diff(q) > -1.0).all()
 
+    def test_rejects_out_of_range_label(self, tiny_ds):
+        # Label 4 in a 4-label column used to drop its cell's row and give
+        # the next row a phantom vote.
+        a = tiny_ds.answers.copy()
+        a.loc[0, "col"], a.loc[0, "value"] = 0, 4.0
+        with pytest.raises(ValueError, match="position 0.*not a label code 0..3"):
+            tcrowd_em(a, tiny_ds.schema)
+
+    def test_rejects_nan_answer(self, tiny_ds):
+        # A NaN used to poison its cell and give the truth a garbage row id.
+        a = tiny_ds.answers.copy()
+        a.loc[5, "value"] = np.nan
+        with pytest.raises(ValueError, match="position 5.*non-finite value"):
+            tcrowd_em(a, tiny_ds.schema)
+
     def test_beats_naive_baselines(self, tiny_ds, tiny_em):
         from repro.baselines.voting import mv_median
 

@@ -10,6 +10,7 @@ from repro.crowd.schema import (
     ColumnSpec,
     TableSchema,
     restrict_answers,
+    validate_answers,
 )
 
 
@@ -119,3 +120,52 @@ class TestCrowdDataset:
             n = tiny_ds.schema.column(j).n_labels
             assert vals.round().between(0, n - 1).all()
             np.testing.assert_allclose(vals, vals.round())
+
+
+class TestValidateAnswers:
+    schema = TableSchema(
+        columns=(ColumnSpec("a", CATEGORICAL, n_labels=3), ColumnSpec("x", CONTINUOUS))
+    )
+
+    def _answers(self, field=None, value=None):
+        """Three well-formed answers; ``field`` of the last is set to ``value``."""
+        a = pd.DataFrame(
+            {"worker": [0, 1, 2], "row": [0, 0, 1], "col": [0, 1, 0], "value": [2.0, 17.5, 0.0]}
+        )
+        if field is not None:
+            a[field] = a[field].astype(float)
+            a.loc[2, field] = value
+        return a
+
+    def test_well_formed_passes(self):
+        validate_answers(self._answers(), self.schema)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("value", 3.0, "not a label code 0..2"),
+            ("value", -1.0, "not a label code 0..2"),
+            ("value", 0.5, "not a label code 0..2"),
+            ("value", np.nan, "non-finite value"),
+            ("value", np.inf, "non-finite value"),
+            ("worker", -1, "negative id"),
+            ("row", -1, "negative id"),
+            ("col", -1, "column out of range"),
+            ("col", 2, "column out of range"),
+        ],
+    )
+    def test_rejects_and_names_first_bad_answer(self, field, value, reason):
+        a = self._answers(field, value)
+        with pytest.raises(ValueError, match="position 2") as err:
+            validate_answers(a, self.schema)
+        assert reason in str(err.value)
+
+    def test_continuous_nan_rejected(self):
+        a = self._answers()
+        a.loc[1, "value"] = np.nan
+        with pytest.raises(ValueError, match="position 1.*non-finite"):
+            validate_answers(a, self.schema)
+
+    def test_generated_datasets_pass(self, tiny_ds, restaurant_ds):
+        for ds in (tiny_ds, restaurant_ds):
+            validate_answers(ds.answers, ds.schema)

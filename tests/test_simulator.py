@@ -1,9 +1,13 @@
 """Tests for the online crowdsourcing simulator."""
+import json
+import platform
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.assignment import InherentIGPolicy, RandomPolicy
+from repro.core.assignment import InherentIGPolicy, RandomPolicy, StructureAwarePolicy
 from repro.crowd import datasets as D
 from repro.crowd.simulator import (
     HiddenWorld,
@@ -113,3 +117,38 @@ class TestRunSimulation:
         a = run_simulation(fresh(), RandomPolicy(7), "mv", cfg)
         b = run_simulation(fresh(), RandomPolicy(7), "mv", cfg)
         pd.testing.assert_frame_equal(a, b)
+
+
+class TestPinnedSimulation:
+    def test_structure_aware_restaurant_matches_recorded_run(self):
+        """Every pick and both checkpoints of a structure-aware simulation on
+        Restaurant equal, to the last bit, those of the per-cell IG scoring
+        the array kernel replaced. The bits depend on libm and on numpy's
+        ``exp``/``log`` and summation: the file records where they were made,
+        and a failure message names both environments."""
+        rec = json.loads(
+            (Path(__file__).parent / "data" / "sim_structure_aware_restaurant.json").read_text()
+        )
+        here = {
+            "machine": platform.machine(), "system": platform.system(),
+            "libc": " ".join(platform.libc_ver()), "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        env = f"recorded on {rec['recorded_on']}, running on {here}"
+        picks = []
+
+        class Recorded(StructureAwarePolicy):
+            def pick(self, view, worker, k):
+                cells = super().pick(view, worker, k)
+                picks.append([worker, [list(map(int, c)) for c in cells]])
+                return cells
+
+        out = run_simulation(
+            world_from_dataset(D.restaurant_like(11), seed=1000),
+            Recorded(),
+            "tcrowd",
+            SimConfig(batch_size=5, max_answers_per_task=1.3, checkpoints=(1.0, 1.3)),
+        )
+        assert picks == rec["picks"], env
+        got = [[r.avg_answers, r.error_rate, r.mnad, r.n_answers] for r in out.itertuples()]
+        assert got == rec["checkpoints"], env
