@@ -12,9 +12,14 @@ Implements the unified worker-quality EM:
 * M-step (Eq. 5): gradient ascent on ``Q(α, β, φ)`` in log-parameter space,
   with per-answer gradients scatter-added to their row/column/worker.
 
-The same per-column E-step kernels are reused verbatim by the Spark engine
-(`core/spark_em.py`) inside ``applyInPandas``, so the two implementations
-agree to float tolerance (tested in tests/test_spark_em.py).
+Everything of Algorithm 1 but the E-step is shared with the Spark engine
+(`core/spark_em.py`): :func:`init_params` turns per-column answer moments
+(:func:`column_moments` here, one aggregation there) into the priors and the
+starting parameters, :func:`em_loop` alternates an engine's E-step with
+:func:`m_step` until no log-parameter moves more than ``tol``, and
+:func:`worker_quality` reports ``q_u``. The Spark E-step runs the same
+per-column kernels inside ``applyInPandas``, so the two engines agree to
+float tolerance (tested in tests/test_spark_em.py).
 
 Identifiability: ``α β φ`` is invariant under rescaling, so after each
 M-step we renormalise ``mean(ln α) = mean(ln φ) = 0``, folding both scales
@@ -75,6 +80,15 @@ class EMState:
     @property
     def phi(self) -> np.ndarray:
         return np.exp(self.ln_phi)
+
+
+def max_move(a: EMState, b: EMState) -> float:
+    """Largest absolute change of any log-parameter between two states."""
+    return max(
+        np.abs(a.ln_alpha - b.ln_alpha).max(initial=0.0),
+        np.abs(a.ln_beta - b.ln_beta).max(initial=0.0),
+        np.abs(a.ln_phi - b.ln_phi).max(initial=0.0),
+    )
 
 
 @dataclass
@@ -348,11 +362,7 @@ def m_step(
             lr *= 0.5
         if not accepted:
             break
-        moved = max(
-            np.abs(cand.ln_alpha - st.ln_alpha).max(initial=0.0),
-            np.abs(cand.ln_beta - st.ln_beta).max(initial=0.0),
-            np.abs(cand.ln_phi - st.ln_phi).max(initial=0.0),
-        )
+        moved = max_move(cand, st)
         st, q_cur, g = cand, q_new, g_new
         lr = min(lr * 1.3, 2.0)
         if moved < tol:
@@ -370,30 +380,61 @@ def m_step(
 # Full EM driver.
 # ---------------------------------------------------------------------------
 
-def column_priors(answers: pd.DataFrame, schema: TableSchema) -> dict:
-    """Empirical Gaussian prior (μ⁰_j, φ⁰_j) per continuous column (§4.3)."""
-    priors = {}
+def column_moments(answers: pd.DataFrame, schema: TableSchema) -> dict:
+    """``{j: (n, mean, var_pop)}`` of the answers to each continuous column
+    that has any; :func:`init_params` reads a missing column as unanswered."""
+    moments = {}
     for j in schema.continuous_idx:
         vals = answers.loc[answers["col"] == j, "value"].to_numpy()
-        if len(vals) == 0:
-            lo, hi = schema.column(j).domain
-            priors[j] = ((lo + hi) / 2.0, max(((hi - lo) / 4.0) ** 2, 1e-6))
-        else:
-            priors[j] = (float(vals.mean()), max(float(vals.var()), 1e-6))
-    return priors
+        if len(vals):
+            moments[j] = (len(vals), float(vals.mean()), float(vals.var()))
+    return moments
 
 
-def init_state(
-    answers: pd.DataFrame, schema: TableSchema, n_rows: int, n_workers: int
-) -> EMState:
-    """α = φ = 1; β_j = per-column answer variance for continuous columns
-    (so the initial α β φ matches the column's scale), 1 for categorical."""
+def init_params(
+    moments: dict, schema: TableSchema, n_rows: int, n_workers: int
+) -> tuple[dict, EMState]:
+    """Column priors and starting parameters from :func:`column_moments`
+    (entries of categorical columns are ignored).
+
+    A continuous column's empirical Gaussian prior (μ⁰_j, φ⁰_j) (§4.3) is
+    its answers' mean and variance, or the domain's midpoint and a quarter
+    of its width squared when it has no answers. α = φ = 1; β_j is the
+    column's answer variance when it has two or more answers (so the initial
+    α β φ matches the column's scale), otherwise 1."""
+    priors = {}
     ln_beta = np.zeros(schema.n_cols)
     for j in schema.continuous_idx:
-        vals = answers.loc[answers["col"] == j, "value"].to_numpy()
-        if len(vals) > 1:
-            ln_beta[j] = np.log(max(float(vals.var()), 1e-6))
-    return EMState(np.zeros(n_rows), ln_beta, np.zeros(n_workers))
+        n, mean, var = moments.get(j, (0, 0.0, 0.0))
+        if n >= 1:
+            priors[j] = (mean, max(var, 1e-6))
+        else:
+            lo, hi = schema.column(j).domain
+            priors[j] = ((lo + hi) / 2.0, max(((hi - lo) / 4.0) ** 2, 1e-6))
+        if n >= 2:
+            ln_beta[j] = np.log(max(var, 1e-6))
+    return priors, EMState(np.zeros(n_rows), ln_beta, np.zeros(n_workers))
+
+
+def em_loop(step, state: EMState, max_iter: int, tol: float):
+    """Alternate E and M steps: ``step(state)`` returns ``(new_state, Q)``.
+    Stops once no log-parameter moves by ``tol`` or more, or after
+    ``max_iter`` steps. Returns ``(state, n_iters, converged, q_trace)``."""
+    q_trace: list[float] = []
+    it = 0
+    for it in range(1, max_iter + 1):
+        new_state, q_val = step(state)
+        q_trace.append(q_val)
+        moved = max_move(new_state, state)
+        state = new_state
+        if moved < tol:
+            return state, it, True, q_trace
+    return state, it, False, q_trace
+
+
+def worker_quality(state: EMState, eps: float) -> np.ndarray:
+    """Worker quality q_u = erf(ε/√(2 φ_u)), Eq. 2 at α_i β_j = 1."""
+    return np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -547,49 +588,34 @@ def tcrowd_em(
     validate_answers(answers, schema)
     n_rows = n_rows if n_rows is not None else int(answers["row"].max()) + 1
     n_workers = n_workers if n_workers is not None else int(answers["worker"].max()) + 1
-    priors = column_priors(answers, schema)
-    state = warm_state.copy() if warm_state is not None else init_state(
-        answers, schema, n_rows, n_workers
-    )
-    if warm_state is not None and (
-        len(state.ln_alpha) < n_rows or len(state.ln_phi) < n_workers
-    ):
-        state = EMState(
-            np.pad(state.ln_alpha, (0, n_rows - len(state.ln_alpha))),
-            state.ln_beta,
-            np.pad(state.ln_phi, (0, n_workers - len(state.ln_phi))),
-        )
+    priors, state = init_params(column_moments(answers, schema), schema, n_rows, n_workers)
+    if warm_state is not None:
+        state = warm_state.copy()
+        if len(state.ln_alpha) < n_rows or len(state.ln_phi) < n_workers:
+            state = EMState(
+                np.pad(state.ln_alpha, (0, n_rows - len(state.ln_alpha))),
+                state.ln_beta,
+                np.pad(state.ln_phi, (0, n_workers - len(state.ln_phi))),
+            )
 
     layout = AnswerLayout.build(answers, schema)
-    q_trace: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        _, _, stats = run_estep(layout, state, priors, eps, posteriors=False)
-        new_state, q_val = m_step(
-            stats, state, eps, grad_iters=grad_iters, reg_alpha=reg_alpha,
-            reg_phi=reg_phi,
+
+    def step(st: EMState):
+        _, _, stats = run_estep(layout, st, priors, eps, posteriors=False)
+        return m_step(
+            stats, st, eps, grad_iters=grad_iters, reg_alpha=reg_alpha, reg_phi=reg_phi,
         )
-        q_trace.append(q_val)
-        moved = max(
-            np.abs(new_state.ln_alpha - state.ln_alpha).max(initial=0.0),
-            np.abs(new_state.ln_beta - state.ln_beta).max(initial=0.0),
-            np.abs(new_state.ln_phi - state.ln_phi).max(initial=0.0),
-        )
-        state = new_state
-        if moved < tol:
-            converged = True
-            break
+
+    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, tol)
     # Final E-step with the converged parameters.
     cont_cells, cat_cells, _ = run_estep(layout, state, priors, eps)
-    quality = np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
     return TCrowdResult(
         state=state,
         truth=result_truth(cont_cells, cat_cells),
         cont_cells=cont_cells,
         cat_cells=cat_cells,
-        worker_quality=quality,
-        n_iters=it,
+        worker_quality=worker_quality(state, eps),
+        n_iters=n_iters,
         converged=converged,
         q_trace=q_trace,
         priors=priors,

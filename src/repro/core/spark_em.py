@@ -1,25 +1,28 @@
 """T-Crowd truth inference as a Spark DataFrame pipeline.
 
-One EM iteration is a dataflow over the canonical answers DataFrame
-``(worker, row, col, value)``:
+Only the E-step is Spark's. The rest of Algorithm 1 is the numpy engine's
+(`repro.core.em`): one ``groupBy("col")`` aggregation gives the per-column
+answer moments and the largest row and worker ids, from which
+:func:`~repro.core.em.init_params` makes the priors and the starting
+parameters; :func:`~repro.core.em.em_loop` then alternates
 
-1. broadcast-join the answers with three *parameter dimension tables*
+1. **E-step** (:func:`spark_estep`): broadcast-join the answers
+   ``(worker, row, col, value)`` with three *parameter dimension tables*
    (``α`` by row, ``β``+column metadata by col, ``φ`` by worker) and the
    per-column continuous priors — explicitly ``F.broadcast`` because the
-   session fixture disables auto-broadcast;
-2. **E-step**: ``groupBy("col").applyInPandas`` runs the *same* per-column
-   kernels as the numpy engine (`repro.core.em`), emitting one output row
-   per answer, denormalised with its cell's posterior (``t_mu``, ``t_phi``,
-   estimated truth, entropy) — this relation *is* the M-step's
-   sufficient-statistics table;
-3. **M-step**: the statistics are brought to the driver (they are
-   ``O(|A|)`` — the tiny parameter vectors are optimised with the shared
-   log-space gradient ascent, the MLlib "cluster statistics + driver
+   session fixture disables auto-broadcast — then
+   ``groupBy("col").applyInPandas`` runs the *same* per-column kernels as
+   the numpy engine, emitting one output row per answer, denormalised with
+   its cell's posterior (``t_mu``, ``t_phi``, estimated truth, entropy);
+   this relation *is* the M-step's sufficient-statistics table;
+2. **M-step**: the statistics are brought to the driver (they are
+   ``O(|A|)``) and the tiny parameter vectors are optimised with the shared
+   :func:`~repro.core.em.m_step` (the MLlib "cluster statistics + driver
    optimiser" pattern).
 
-Because both engines share the E-step kernels and the M-step optimiser,
-they agree to float tolerance (the only divergence source is summation
-order); tests/test_spark_em.py asserts this.
+Because both engines share the initialisation, the loop, the E-step kernels
+and the M-step optimiser, they agree to float tolerance (the only divergence
+source is summation order); tests/test_spark_em.py asserts this.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..crowd.schema import TableSchema
-from ..crowd.stats import erf
 from .em import (
     EPS,
     GRAD_ITERS,
@@ -41,9 +43,12 @@ from .em import (
     REG_PHI,
     TOL,
     EMState,
+    em_loop,
     estep_categorical_column,
     estep_continuous_column,
+    init_params,
     m_step,
+    worker_quality,
 )
 
 _ESTEP_SCHEMA = T.StructType(
@@ -62,6 +67,11 @@ _ESTEP_SCHEMA = T.StructType(
         T.StructField("t_entropy", T.DoubleType()),
     ]
 )
+# The M-step's per-answer statistics and their numpy dtypes.
+_STATS = {
+    "row": np.int64, "col": np.int64, "worker": np.int64, "is_cat": bool,
+    "s": np.float64, "w": np.float64, "n_labels": np.float64,
+}
 
 
 def _estep_column_kernel(eps: float):
@@ -172,81 +182,40 @@ def tcrowd_em_spark(
     reg_phi: float = REG_PHI,
 ) -> SparkEMResult:
     """Full T-Crowd EM with the E-step distributed via Spark (Algorithm 1)."""
-    first = answers.agg(
-        F.max("row").alias("mr"), F.max("worker").alias("mw")
-    ).first()
-    n_rows, n_workers = int(first["mr"]) + 1, int(first["mw"]) + 1
-    # Priors and the β initialisation need per-column moments — one pass.
-    moments = (
+    agg = (
         answers.groupBy("col")
-        .agg(F.avg("value").alias("mu"), F.var_pop("value").alias("var"))
+        .agg(
+            F.count("value").alias("n"), F.avg("value").alias("mean"),
+            F.var_pop("value").alias("var"), F.max("row").alias("max_row"),
+            F.max("worker").alias("max_worker"),
+        )
         .toPandas()
-        .set_index("col")
     )
-    priors = {
-        j: (float(moments.loc[j, "mu"]), max(float(moments.loc[j, "var"]), 1e-6))
-        for j in schema.continuous_idx
-        if j in moments.index
-    }
-    state = EMState(
-        ln_alpha=np.zeros(n_rows),
-        ln_beta=np.array(
-            [
-                np.log(max(float(moments.loc[j, "var"]), 1e-6))
-                if (j in moments.index and not schema.column(j).is_categorical)
-                else 0.0
-                for j in range(schema.n_cols)
-            ]
-        ),
-        ln_phi=np.zeros(n_workers),
+    moments = {int(r.col): (int(r.n), float(r.mean), float(r.var)) for r in agg.itertuples()}
+    priors, state = init_params(
+        moments, schema, int(agg["max_row"].max()) + 1, int(agg["max_worker"].max()) + 1
     )
 
-    q_trace: list[float] = []
-    converged = False
-    it = 0
-    estep_df = None
-    for it in range(1, max_iter + 1):
-        estep_df = spark_estep(answers, state, schema, priors, eps)
-        stats_pdf = estep_df.select(
-            "row", "col", "worker", "is_cat", "s", "w", "n_labels"
-        ).toPandas()
-        stats = {
-            "row": stats_pdf["row"].to_numpy(np.int64),
-            "col": stats_pdf["col"].to_numpy(np.int64),
-            "worker": stats_pdf["worker"].to_numpy(np.int64),
-            "is_cat": stats_pdf["is_cat"].to_numpy(bool),
-            "s": stats_pdf["s"].to_numpy(np.float64),
-            "w": stats_pdf["w"].to_numpy(np.float64),
-            "n_labels": stats_pdf["n_labels"].to_numpy(np.float64),
-        }
-        new_state, q_val = m_step(
-            stats, state, eps, grad_iters=grad_iters, reg_alpha=reg_alpha,
-            reg_phi=reg_phi,
+    def step(st: EMState):
+        pdf = spark_estep(answers, st, schema, priors, eps).select(*_STATS).toPandas()
+        stats = {k: pdf[k].to_numpy(dtype) for k, dtype in _STATS.items()}
+        return m_step(
+            stats, st, eps, grad_iters=grad_iters, reg_alpha=reg_alpha, reg_phi=reg_phi,
         )
-        q_trace.append(q_val)
-        moved = max(
-            np.abs(new_state.ln_alpha - state.ln_alpha).max(initial=0.0),
-            np.abs(new_state.ln_beta - state.ln_beta).max(initial=0.0),
-            np.abs(new_state.ln_phi - state.ln_phi).max(initial=0.0),
-        )
-        state = new_state
-        if moved < tol:
-            converged = True
-            break
 
+    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, tol)
     cells = spark_estep(answers, state, schema, priors, eps)
     truth = (
         cells.select("row", "col", F.col("t_hat").alias("truth"))
         .distinct()
         .orderBy("row", "col")
     )
-    quality = np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
     return SparkEMResult(
         truth=truth,
         cells=cells,
         state=state,
-        worker_quality=quality,
-        n_iters=it,
+        worker_quality=worker_quality(state, eps),
+        n_iters=n_iters,
         converged=converged,
         q_trace=q_trace,
     )

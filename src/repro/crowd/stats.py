@@ -7,7 +7,7 @@ T-Crowd and the CATD baseline from scratch:
   element of an array (a Python-level loop, not a numpy ufunc; exactly
   ``math.erf``, so results match it bit for bit).
 * :func:`norm_ppf` — inverse standard-normal CDF via Acklam's rational
-  approximation (|rel err| < 1.15e-9), used for confidence intervals.
+  approximation (|rel err| < 1.15e-9), used by :func:`chi2_ppf`.
 * :func:`chi2_ppf` — chi-squared quantile via the Wilson–Hilferty cube-root
   normal approximation, used for CATD's upper-confidence source weights.
 
@@ -29,11 +29,6 @@ def erf(x: np.ndarray | float) -> np.ndarray | float:
         return math.erf(float(x))
     a = np.asarray(x, dtype=np.float64)
     return np.fromiter(map(math.erf, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
-
-
-def erfinv(y: np.ndarray | float) -> np.ndarray | float:
-    """Inverse error function via the identity erfinv(y) = ppf((y+1)/2)/sqrt(2)."""
-    return norm_ppf((np.asarray(y, dtype=np.float64) + 1.0) / 2.0) / math.sqrt(2.0)
 
 
 # Acklam's coefficients for the inverse normal CDF.
@@ -89,9 +84,3 @@ def chi2_ppf(p: float, df: np.ndarray | float) -> np.ndarray | float:
     t = 1.0 - 2.0 / (9.0 * df) + z * np.sqrt(2.0 / (9.0 * df))
     out = df * np.maximum(t, 0.0) ** 3
     return float(out[0]) if scalar else out
-
-
-def gaussian_logpdf(x: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Elementwise log N(x; mu, var) with variance floored for stability."""
-    var = np.maximum(np.asarray(var, dtype=np.float64), 1e-12)
-    return -0.5 * np.log(2.0 * np.pi * var) - (np.asarray(x) - np.asarray(mu)) ** 2 / (2.0 * var)

@@ -14,10 +14,10 @@ from repro.core.em import (
     AnswerLayout,
     CatPosterior,
     EMState,
-    column_priors,
+    column_moments,
     estep_categorical_column,
     estep_continuous_column,
-    init_state,
+    init_params,
     m_step,
     q_objective,
     result_truth,
@@ -221,9 +221,13 @@ class TestMStep:
         assert np.isfinite(q_check)
 
 
+def _init(answers, schema, n_rows=30, n_workers=20):
+    return init_params(column_moments(answers, schema), schema, n_rows, n_workers)
+
+
 class TestInitAndPriors:
     def test_priors_match_column_moments(self, tiny_ds):
-        priors = column_priors(tiny_ds.answers, tiny_ds.schema)
+        priors, _ = _init(tiny_ds.answers, tiny_ds.schema)
         for j in tiny_ds.schema.continuous_idx:
             vals = tiny_ds.answers.loc[tiny_ds.answers["col"] == j, "value"]
             mu0, var0 = priors[j]
@@ -231,18 +235,31 @@ class TestInitAndPriors:
             assert var0 == pytest.approx(vals.var(ddof=0), rel=1e-6)
 
     def test_init_state_shapes(self, tiny_ds):
-        st = init_state(tiny_ds.answers, tiny_ds.schema, 30, 20)
+        _, st = _init(tiny_ds.answers, tiny_ds.schema)
         assert st.ln_alpha.shape == (30,)
         assert st.ln_beta.shape == (4,)
         assert st.ln_phi.shape == (20,)
 
     def test_init_beta_continuous_scale(self, tiny_ds):
-        st = init_state(tiny_ds.answers, tiny_ds.schema, 30, 20)
+        _, st = _init(tiny_ds.answers, tiny_ds.schema)
         for j in tiny_ds.schema.continuous_idx:
             vals = tiny_ds.answers.loc[tiny_ds.answers["col"] == j, "value"]
             assert st.ln_beta[j] == pytest.approx(np.log(vals.var(ddof=0)), rel=1e-6)
         for j in tiny_ds.schema.categorical_idx:
             assert st.ln_beta[j] == 0.0
+
+    def test_unanswered_column_gets_domain_prior(self, tiny_ds):
+        a = tiny_ds.answers
+        priors, st = _init(a[a["col"] != 3], tiny_ds.schema)
+        assert priors[3] == (0.0, 25.0**2)  # x1's domain is (-50, 50)
+        assert st.ln_beta[3] == 0.0
+
+    def test_single_answer_column(self, tiny_ds):
+        a = tiny_ds.answers
+        x1 = a.index[a["col"] == 3]
+        priors, st = _init(a.drop(x1[1:]), tiny_ds.schema)
+        assert priors[3] == (a.loc[x1[0], "value"], 1e-6)
+        assert st.ln_beta[3] == 0.0
 
 
 class TestFullEM:
@@ -466,7 +483,7 @@ class TestLayoutEstep:
     @settings(max_examples=60, deadline=None)
     def test_equals_per_column_kernels(self, case):
         answers, state = case
-        priors = column_priors(answers, _ESTEP_SCHEMA)
+        priors, _ = _init(answers, _ESTEP_SCHEMA)
         want_cont, want_cat, want_stats = _reference_estep(
             answers, _ESTEP_SCHEMA, state, priors, 1.0
         )

@@ -1,4 +1,6 @@
 """Spark EM engine: agreement with the numpy kernel and dataflow sanity."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,25 @@ class TestSparkVsNumpy:
             )
         np.testing.assert_allclose(sp.q_trace, ref.q_trace, rtol=1e-9)
 
+    def test_single_answer_column_agrees(self, spark, tiny_ds):
+        """A continuous column with one answer starts both engines at the
+        same ln β (the shared initialisation)."""
+        a = tiny_ds.answers
+        cut = a.drop(a.index[a["col"] == 3][1:])
+        answers_df, _ = replace(tiny_ds, answers=cut).to_spark(spark)
+        sp = tcrowd_em_spark(answers_df, tiny_ds.schema, max_iter=12)
+        ref = tcrowd_em(cut, tiny_ds.schema, max_iter=12)
+        assert sp.n_iters == ref.n_iters
+        sp_truth = sp.truth.toPandas()
+        np.testing.assert_array_equal(sp_truth[["row", "col"]], ref.truth[["row", "col"]])
+        np.testing.assert_allclose(
+            sp_truth["truth"].to_numpy(), ref.truth["truth"].to_numpy(), rtol=0, atol=1e-6
+        )
+        for name in ("ln_alpha", "ln_beta", "ln_phi"):
+            np.testing.assert_allclose(
+                getattr(sp.state, name), getattr(ref.state, name), rtol=0, atol=1e-6
+            )
+
 
 class TestEstepKernel:
     """The ``applyInPandas`` kernel, called on a pandas frame directly."""
@@ -100,10 +121,11 @@ class TestEstepKernel:
 class TestSparkDataflow:
     def test_estep_emits_one_row_per_answer(self, spark, tiny_ds, spark_result):
         answers_df, _ = tiny_ds.to_spark(spark)
-        from repro.core.em import column_priors, init_state
+        from repro.core.em import column_moments, init_params
 
-        priors = column_priors(tiny_ds.answers, tiny_ds.schema)
-        st = init_state(tiny_ds.answers, tiny_ds.schema, 30, 20)
+        priors, st = init_params(
+            column_moments(tiny_ds.answers, tiny_ds.schema), tiny_ds.schema, 30, 20
+        )
         out = spark_estep(answers_df, st, tiny_ds.schema, priors, 1.0)
         assert out.count() == len(tiny_ds.answers)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crowd.stats import chi2_ppf, erf, erfinv, gaussian_logpdf, norm_ppf
+from repro.crowd.stats import chi2_ppf, erf, norm_ppf
 
 
 class TestErf:
@@ -85,12 +85,6 @@ class TestNormPpf:
         assert out[0] == pytest.approx(-out[2], abs=1e-9)
 
 
-class TestErfinv:
-    @pytest.mark.parametrize("y", [-0.9, -0.5, 0.0, 0.3, 0.99])
-    def test_inverse_of_erf(self, y):
-        assert math.erf(float(erfinv(y))) == pytest.approx(y, abs=1e-7)
-
-
 class TestChi2Ppf:
     def test_known_values(self):
         # Reference values from scipy.stats.chi2.ppf.
@@ -112,18 +106,3 @@ class TestChi2Ppf:
     def test_scalar_and_vector(self):
         assert isinstance(chi2_ppf(0.9, 5), float)
         assert chi2_ppf(0.9, np.array([5.0, 6.0])).shape == (2,)
-
-
-class TestGaussianLogpdf:
-    def test_matches_formula(self):
-        x, mu, var = 1.3, 0.5, 2.0
-        want = -0.5 * math.log(2 * math.pi * var) - (x - mu) ** 2 / (2 * var)
-        assert gaussian_logpdf(np.array([x]), mu, var)[0] == pytest.approx(want)
-
-    def test_peak_at_mean(self):
-        xs = np.linspace(-3, 3, 61)
-        lp = gaussian_logpdf(xs, 0.0, 1.0)
-        assert xs[np.argmax(lp)] == pytest.approx(0.0, abs=0.06)
-
-    def test_variance_floor(self):
-        assert np.isfinite(gaussian_logpdf(np.array([1.0]), 0.0, 0.0)).all()

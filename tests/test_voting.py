@@ -1,6 +1,7 @@
 """MV / Median: pandas vs Spark SQL vs DuckDB oracle."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.baselines.voting import (
     majority_vote,
@@ -88,13 +89,10 @@ class TestSparkMatchesPandas:
         pd.testing.assert_frame_equal(sp, pdk, check_dtype=False)
 
 
-class TestOracle:
-    def test_mv_spark_oracle(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
-        cats = ",".join(str(j) for j in tiny_ds.schema.categorical_idx)
-        assert_equivalent(
-            majority_vote_spark(a_df, tiny_ds.schema),
-            f"""
+def _mv_sql(schema):
+    """Majority vote per categorical cell, ties to the smaller label."""
+    cats = ",".join(str(j) for j in schema.categorical_idx)
+    return f"""
             WITH counts AS (
                 SELECT row, col, round(value) AS label, count(*) AS n
                 FROM answers WHERE col IN ({cats})
@@ -107,9 +105,23 @@ class TestOracle:
             )
             SELECT row, col, CAST(label AS DOUBLE) AS truth
             FROM ranked WHERE rk = 1
-            """,
+    """
+
+
+class TestOracle:
+    def test_mv_spark_oracle(self, spark, tiny_ds):
+        a_df, _ = tiny_ds.to_spark(spark)
+        assert_equivalent(
+            majority_vote_spark(a_df, tiny_ds.schema),
+            _mv_sql(tiny_ds.schema),
             answers=tiny_ds.answers,
         )
+
+    def test_oracle_catches_wrong_result(self, spark, tiny_ds):
+        a_df, _ = tiny_ds.to_spark(spark)
+        wrong = majority_vote_spark(a_df, tiny_ds.schema).withColumn("truth", F.col("truth") + 1)
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, _mv_sql(tiny_ds.schema), answers=tiny_ds.answers)
 
     def test_median_spark_oracle(self, spark, tiny_ds):
         a_df, _ = tiny_ds.to_spark(spark)
@@ -126,23 +138,10 @@ class TestOracle:
 
     def test_mv_median_union_oracle(self, spark, tiny_ds):
         a_df, _ = tiny_ds.to_spark(spark)
-        cats = ",".join(str(j) for j in tiny_ds.schema.categorical_idx)
         conts = ",".join(str(j) for j in tiny_ds.schema.continuous_idx)
         assert_equivalent(
             mv_median_spark(a_df, tiny_ds.schema),
-            f"""
-            WITH counts AS (
-                SELECT row, col, round(value) AS label, count(*) AS n
-                FROM answers WHERE col IN ({cats})
-                GROUP BY row, col, round(value)
-            ), ranked AS (
-                SELECT row, col, label,
-                       row_number() OVER (PARTITION BY row, col
-                                          ORDER BY n DESC, label ASC) AS rk
-                FROM counts
-            )
-            SELECT row, col, CAST(label AS DOUBLE) AS truth
-            FROM ranked WHERE rk = 1
+            _mv_sql(tiny_ds.schema) + f"""
             UNION ALL
             SELECT row, col, median(value) AS truth
             FROM answers WHERE col IN ({conts})
