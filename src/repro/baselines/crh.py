@@ -84,27 +84,3 @@ def crh(
             break
         prev_loss = total
     return truth.sort_values(["row", "col"]).reset_index(drop=True)
-
-
-def crh_worker_weights(
-    answers: pd.DataFrame, schema: TableSchema, **kw
-) -> pd.DataFrame:
-    """Final CRH worker weights (used by CATD-style analyses and tests)."""
-    truth = crh(answers, schema, **kw)
-    a = answers.merge(truth, on=["row", "col"])
-    cat_cols = set(schema.categorical_idx)
-    sds = _column_sd(answers, schema)
-    is_cat = a["col"].isin(cat_cols).to_numpy()
-    sd = a["col"].map(sds).fillna(1.0).to_numpy()
-    err = np.where(
-        is_cat,
-        (a["value"].round() != a["truth"].round()).astype(float),
-        ((a["value"] - a["truth"]) / sd) ** 2,
-    )
-    loss = (
-        pd.DataFrame({"worker": a["worker"], "err": err}).groupby("worker")["err"].sum()
-        + _EPS
-    )
-    return pd.DataFrame(
-        {"worker": loss.index, "weight": np.log(float(loss.sum()) / loss.to_numpy())}
-    )

@@ -43,7 +43,7 @@ from .correlation import (
     combined_conditional,
     compute_errors,
 )
-from .em import TCrowdResult
+from .em import TCrowdResult, entropy_rows, row_sum
 
 _EPS_Q = 1e-6
 
@@ -111,8 +111,8 @@ def uniform_entropy(view: AssignmentView) -> dict:
     ent: dict = {}
     for rec in view.result.cont_cells.itertuples():
         ent[(int(rec.row), int(rec.col))] = _cont_entropy(float(rec.t_phi))
-    for cell, post in view.result.cat_cells.items():
-        ent[cell] = post.entropy()
+    cat = view.result.cat_cells
+    ent.update(zip(zip(cat.rows.tolist(), cat.cols.tolist()), cat.entropy().tolist()))
     return ent
 
 
@@ -124,34 +124,6 @@ class EntropyPolicy:
         cand = view.candidates(worker)
         cand.sort(key=lambda c: -ent.get(c, -np.inf))
         return cand[:k]
-
-
-def _row_sum(m: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """``np.sum(m[i, :width[i]])`` for every row ``i``, bit for bit.
-
-    numpy sums short vectors left to right but longer ones (8 or more
-    terms) pairwise, so the order depends on the vector's length. Each group
-    of rows of equal width is therefore reduced by numpy itself over exactly
-    that width."""
-    out = np.zeros(len(m))
-    for w in np.unique(width):
-        sel = width == w
-        out[sel] = m[sel, :w].sum(axis=1)
-    return out
-
-
-def _entropy_rows(p: np.ndarray, p_un: np.ndarray, n_un: np.ndarray) -> np.ndarray:
-    """Shannon entropy per row of the positive entries of ``p`` plus ``n_un``
-    labels at ``p_un`` each (:meth:`CatPosterior.entropy` per row).
-
-    The positive terms are moved to the front of their row, in order, so
-    each row sums exactly the terms the per-cell entropy sums."""
-    pos = p > 0
-    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
-    terms = np.take_along_axis(terms, np.argsort(~pos, axis=1, kind="stable"), axis=1)
-    h = -_row_sum(terms, pos.sum(axis=1))
-    un = (n_un > 0) & (p_un > 0)
-    return np.where(un, h - n_un * p_un * np.log(np.where(un, p_un, 1.0)), h)
 
 
 def cat_ig(
@@ -177,15 +149,15 @@ def cat_ig(
     new_p0 = p0 * wrong
     exp_h = np.zeros(n_cells)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = _entropy_rows(probs, p0, n_un)
+        h0 = entropy_rows(probs, p0, n_un)
         # The worker answers answered label idx: posterior ∝ prior ×
         # likelihood; the predictive probability of that answer equals the
         # posterior normaliser, so one pass gives both.
         for idx in range(a_max):
             new = probs * wrong[:, None]
             new[:, idx] = probs[:, idx] * q
-            z = _row_sum(new, n_ans) + n_un * new_p0  # == P(answer = idx)
-            h = _entropy_rows(new / z[:, None], new_p0 / z, n_un)
+            z = row_sum(new, n_ans) + n_un * new_p0  # == P(answer = idx)
+            h = entropy_rows(new / z[:, None], new_p0 / z, n_un)
             exp_h = np.where((idx < n_ans) & (z > 0), exp_h + z * h, exp_h)
         # Or one of the n_un exchangeable unanswered labels: the chosen label
         # gets likelihood q and leaves the pool, the other n_un−1 stay at
@@ -193,8 +165,8 @@ def cat_ig(
         new = np.zeros((n_cells, a_max + 1))
         new[:, :a_max] = probs * wrong[:, None]
         new[np.arange(n_cells), n_ans] = p0 * q
-        z = _row_sum(new, n_ans + 1) + (n_un - 1) * new_p0
-        h = _entropy_rows(new / z[:, None], new_p0 / z, n_un - 1)
+        z = row_sum(new, n_ans + 1) + (n_un - 1) * new_p0
+        h = entropy_rows(new / z[:, None], new_p0 / z, n_un - 1)
         exp_h = np.where((n_un > 0) & (z > 0), exp_h + n_un * z * h, exp_h)
     return h0 - exp_h
 
@@ -205,16 +177,14 @@ def _cont_ig(t_phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(t_phi / (1.0 / (1.0 / t_phi + 1.0 / v)))
 
 
-@dataclass
 class _Cells:
     """One kind of cell of a :class:`TCrowdResult` as arrays, one row per
     cell: ``keys`` are the ``(row, col)`` pairs, ``data`` holds the per-cell
     posterior arrays."""
 
-    keys: list
-    rows: np.ndarray
-    cols: np.ndarray
-    data: dict
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, **data):
+        self.keys = list(zip(rows.tolist(), cols.tolist()))
+        self.rows, self.cols, self.data = rows, cols, data
 
     def positions(self) -> dict:
         """``(row, col)`` -> row of the arrays."""
@@ -222,38 +192,6 @@ class _Cells:
 
     def take(self, idx) -> dict:
         return {k: v[idx] for k, v in self.data.items()}
-
-
-def _cat_cells(res: TCrowdResult, schema: TableSchema) -> _Cells:
-    """The categorical posteriors as a zero-padded ``(cells × A_max)``
-    matrix of answered-label probabilities plus per-cell arrays."""
-    keys = list(res.cat_cells)
-    posts = list(res.cat_cells.values())
-    n = len(posts)
-    rows = np.fromiter((r for r, _ in keys), np.int64, n)
-    cols = np.fromiter((c for _, c in keys), np.int64, n)
-    n_ans = np.fromiter((len(p.probs) for p in posts), np.int64, n)
-    probs = np.zeros((n, int(n_ans.max(initial=0))))
-    if n:
-        probs[np.arange(probs.shape[1]) < n_ans[:, None]] = np.concatenate(
-            [p.probs for p in posts]
-        )
-    labels = np.array([c.n_labels or 0 for c in schema.columns], dtype=np.int64)
-    data = {
-        "probs": probs,
-        "n_ans": n_ans,
-        "n_un": np.fromiter((p.n_unanswered for p in posts), np.int64, n),
-        "p0": np.fromiter((p.p0 for p in posts), np.float64, n),
-        "n_labels": labels[cols],
-    }
-    return _Cells(keys, rows, cols, data)
-
-
-def _cont_cells(res: TCrowdResult) -> _Cells:
-    rows = res.cont_cells["row"].to_numpy(np.int64)
-    cols = res.cont_cells["col"].to_numpy(np.int64)
-    t_phi = res.cont_cells["t_phi"].to_numpy(np.float64)
-    return _Cells(list(zip(rows.tolist(), cols.tolist())), rows, cols, {"t_phi": t_phi})
 
 
 def _answer_var(res: TCrowdResult, worker: int, cells: _Cells) -> np.ndarray:
@@ -276,8 +214,11 @@ class InherentIGPolicy:
     def _inherent(self, view: AssignmentView, worker: int):
         """The gain of every cell, with the cell arrays it was scored from."""
         res = view.result
-        cont = _cont_cells(res)
-        cat = _cat_cells(res, view.schema)
+        cc, c = res.cont_cells, res.cat_cells
+        cont = _Cells(cc["row"].to_numpy(np.int64), cc["col"].to_numpy(np.int64),
+                      t_phi=cc["t_phi"].to_numpy(np.float64))
+        cat = _Cells(c.rows, c.cols, probs=c.probs, n_ans=c.n_ans, n_un=c.n_un,
+                     p0=c.p0, n_labels=c.n_labels)
         v = _answer_var(res, worker, cont)
         ig = dict(zip(cont.keys, _cont_ig(cont.data["t_phi"], v).tolist()))
         q = erf(view.eps / np.sqrt(2.0 * _answer_var(res, worker, cat)))

@@ -31,7 +31,7 @@ categorical answers and, per column, the cell grouping (for a categorical
 column, also the grouping of answers into distinct ``(row, label)`` pairs),
 so each E-step runs only the array kernels. The
 E-steps inside the loop return just the M-step statistics; only the final
-one assembles the :class:`CatPosterior` dict and the ``cont_cells`` frame.
+one assembles the :class:`CatCells` record and the ``cont_cells`` frame.
 Every floating-point operation runs on the same values in the same order as
 the per-column kernels, so the results are bit-identical to theirs
 (DESIGN.md §4).
@@ -91,29 +91,89 @@ def max_move(a: EMState, b: EMState) -> float:
     )
 
 
-@dataclass
-class CatPosterior:
-    """Label posterior of one categorical cell.
+def row_sum(m: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """``np.sum(m[i, :width[i]])`` for every row ``i``, bit for bit.
 
-    ``labels``/``probs`` cover the labels that received at least one answer;
-    the remaining ``n_unanswered`` labels share probability ``p0`` each.
+    numpy sums short vectors left to right but longer ones (8 or more
+    terms) pairwise, so the order depends on the vector's length. Each group
+    of rows of equal width is therefore reduced by numpy itself over exactly
+    that width."""
+    out = np.zeros(len(m))
+    for w in np.unique(width):
+        sel = width == w
+        out[sel] = m[sel, :w].sum(axis=1)
+    return out
+
+
+def entropy_rows(p: np.ndarray, p_un: np.ndarray, n_un: np.ndarray) -> np.ndarray:
+    """Shannon entropy per row of the positive entries of ``p`` plus ``n_un``
+    labels at ``p_un`` each: the entropy of a categorical cell posterior.
+
+    The positive terms are moved to the front of their row, in order, so
+    each row sums exactly its positive terms, in the order a per-cell sum
+    over them would."""
+    pos = p > 0
+    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
+    terms = np.take_along_axis(terms, np.argsort(~pos, axis=1, kind="stable"), axis=1)
+    h = -row_sum(terms, pos.sum(axis=1))
+    un = (n_un > 0) & (p_un > 0)
+    return np.where(un, h - n_un * p_un * np.log(np.where(un, p_un, 1.0)), h)
+
+
+@dataclass(frozen=True, eq=False)
+class CatCells:
+    """Label posteriors of categorical cells, one row per cell.
+
+    ``labels[i, :n_ans[i]]`` are the labels cell ``i`` received an answer
+    for, ascending, with their posteriors in ``probs[i, :n_ans[i]]``; both
+    are zero beyond ``n_ans[i]``. The ``n_un[i]`` unanswered labels share
+    probability ``p0[i]`` each.
     """
 
-    labels: np.ndarray
-    probs: np.ndarray
-    n_unanswered: int
-    p0: float
+    rows: np.ndarray  # int64
+    cols: np.ndarray  # int64
+    n_labels: np.ndarray  # int64
+    n_ans: np.ndarray  # int64
+    n_un: np.ndarray  # int64
+    p0: np.ndarray  # float64
+    labels: np.ndarray  # (cells × A_max) float64
+    probs: np.ndarray  # (cells × A_max) float64
 
-    def entropy(self) -> float:
-        p = self.probs[self.probs > 0]
-        h = -float(np.sum(p * np.log(p)))
-        if self.n_unanswered > 0 and self.p0 > 0:
-            h -= self.n_unanswered * self.p0 * np.log(self.p0)
-        return h
+    @classmethod
+    def build(cls, parts: list) -> "CatCells":
+        """From ``(col, n_labels, CatGroups, pair_p, p0)`` per column, with
+        the cells in that order. A column's pairs are sorted by row, then
+        label, so a pair's position within its cell is its index less the
+        index of its cell's first pair."""
+        a_max = max((int(g.n_answered.max(initial=0)) for _, _, g, _, _ in parts), default=0)
+        columns = []
+        for j, n_labels, g, pair_p, p0 in parts:
+            n = len(g.cell_rows)
+            first = np.cumsum(g.n_answered) - g.n_answered
+            at = (g.cell_inv, np.arange(len(g.cell_inv)) - first[g.cell_inv])
+            labels, probs = np.zeros((n, a_max)), np.zeros((n, a_max))
+            labels[at], probs[at] = g.pair_label, pair_p
+            nl = np.full(n, n_labels, dtype=np.int64)
+            columns.append((g.cell_rows, np.full(n, j, dtype=np.int64), nl, g.n_answered,
+                            nl - g.n_answered, p0, labels, probs))
+        if not columns:
+            e = np.zeros(0, dtype=np.int64)
+            return cls(e, e, e, e, e, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+        return cls(*(np.concatenate(f) for f in zip(*columns)))
 
-    def argmax(self) -> float:
-        """Most probable *answered* label (fallback documented in DESIGN §5)."""
-        return float(self.labels[int(np.argmax(self.probs))])
+    def entropy(self) -> np.ndarray:
+        """Shannon entropy of each cell's posterior."""
+        return entropy_rows(self.probs, self.p0, self.n_un)
+
+    def truth(self) -> np.ndarray:
+        """Most probable *answered* label of each cell, the first on a tie.
+        An unanswered label is more probable only when the answers' workers
+        are worse than random (q < 1/L); the estimate stays an answered
+        label then too. Padding is 0.0, which never beats the first
+        answered label."""
+        if not len(self.rows):
+            return np.zeros(0)
+        return self.labels[np.arange(len(self.rows)), self.probs.argmax(axis=1)]
 
 
 @dataclass
@@ -121,7 +181,7 @@ class TCrowdResult:
     state: EMState
     truth: pd.DataFrame  # (row, col, truth) over answered cells
     cont_cells: pd.DataFrame  # (row, col, t_mu, t_phi)
-    cat_cells: dict  # (row, col) -> CatPosterior
+    cat_cells: CatCells  # label posterior per categorical cell
     worker_quality: np.ndarray  # q_u = erf(ε/√(2 φ_u))
     n_iters: int
     converged: bool
@@ -208,34 +268,19 @@ def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: f
     return pair_p, p0, w, q
 
 
-def cat_posteriors(
-    groups: CatGroups, pair_p: np.ndarray, p0: np.ndarray, n_labels: int
-) -> dict[int, CatPosterior]:
-    """One :class:`CatPosterior` per cell, keyed by row."""
-    bounds = np.cumsum(groups.n_answered)[:-1]
-    labels = np.split(groups.pair_label.astype(np.float64), bounds)
-    probs = np.split(pair_p, bounds)
-    n_un = (n_labels - groups.n_answered).tolist()
-    return {
-        row: CatPosterior(labels=lab, probs=pr, n_unanswered=nu, p0=p)
-        for row, lab, pr, nu, p in zip(
-            groups.cell_rows.tolist(), labels, probs, n_un, p0.tolist()
-        )
-    }
-
-
 def estep_categorical_column(
     rows: np.ndarray, values: np.ndarray, v: np.ndarray, n_labels: int, eps: float
 ):
     """Label posterior per cell of one categorical column.
 
-    Returns ``(posteriors, w_per_answer, q_per_answer)`` where ``posteriors``
-    maps row -> CatPosterior and ``w`` is the posterior probability that the
-    answer equals the truth (the M-step sufficient statistic).
+    Returns ``(cells, w_per_answer, q_per_answer)`` where ``cells`` is the
+    :class:`CatCells` of the column's cells (``cols`` 0: the column index is
+    not known here) and ``w`` is the posterior probability that the answer
+    equals the truth (the M-step sufficient statistic).
     """
     groups = cat_groups(rows, values, n_labels)
     pair_p, p0, w, q = cat_posterior_arrays(groups, v, n_labels, eps)
-    return cat_posteriors(groups, pair_p, p0, n_labels), w, q
+    return CatCells.build([(0, n_labels, groups, pair_p, p0)]), w, q
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +549,11 @@ def run_estep(
 
     s = np.zeros(len(layout.row))
     w = np.zeros(len(layout.row))
-    cont_rows, cat_cells = [], {}
+    cont_rows, cat_parts = [], []
     for j, idx, n_labels, groups in layout.cat_cols:
         pair_p, p0, w[idx], _ = cat_posterior_arrays(groups, v_all[idx], n_labels, eps)
         if posteriors:
-            for row, post in cat_posteriors(groups, pair_p, p0, n_labels).items():
-                cat_cells[(row, j)] = post
+            cat_parts.append((j, n_labels, groups, pair_p, p0))
     for j, idx, vals, inv, cell_rows in layout.cont_cols:
         mu0, var0 = priors[j]
         t_mu, t_phi, s[idx] = cont_posterior_arrays(inv, vals, v_all[idx], mu0, var0)
@@ -538,10 +582,10 @@ def run_estep(
         if cont_rows
         else pd.DataFrame(columns=["row", "col", "t_mu", "t_phi"])
     )
-    return cont_cells, cat_cells, stats
+    return cont_cells, CatCells.build(cat_parts), stats
 
 
-def result_truth(cont_cells: pd.DataFrame, cat_cells: dict) -> pd.DataFrame:
+def result_truth(cont_cells: pd.DataFrame, cat_cells: CatCells) -> pd.DataFrame:
     """Final T̂ (Eq. at end of §4.3): T_μ for continuous, argmax label for
     categorical."""
     parts = []
@@ -549,13 +593,10 @@ def result_truth(cont_cells: pd.DataFrame, cat_cells: dict) -> pd.DataFrame:
         parts.append(
             cont_cells.rename(columns={"t_mu": "truth"})[["row", "col", "truth"]]
         )
-    if cat_cells:
+    if len(cat_cells.rows):
         parts.append(
             pd.DataFrame(
-                [
-                    {"row": row, "col": col, "truth": post.argmax()}
-                    for (row, col), post in cat_cells.items()
-                ]
+                {"row": cat_cells.rows, "col": cat_cells.cols, "truth": cat_cells.truth()}
             )
         )
     out = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(

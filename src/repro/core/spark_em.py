@@ -95,15 +95,14 @@ def _estep_column_kernel(eps: float):
         out["n_labels"] = pdf["n_labels"].iloc[0]
         if is_cat:
             n_labels = int(pdf["n_labels"].iloc[0])
-            posts, w, _ = estep_categorical_column(rows, vals, v, n_labels, eps)
+            cells, w, _ = estep_categorical_column(rows, vals, v, n_labels, eps)
+            pos = np.searchsorted(cells.rows, rows)
             out["s"] = 0.0
             out["w"] = w
-            t_hat = {r: p.argmax() for r, p in posts.items()}
-            ent = {r: p.entropy() for r, p in posts.items()}
-            out["t_hat"] = [t_hat[r] for r in rows]
+            out["t_hat"] = cells.truth()[pos]
             out["t_mu"] = np.nan
             out["t_phi"] = np.nan
-            out["t_entropy"] = [ent[r] for r in rows]
+            out["t_entropy"] = cells.entropy()[pos]
         else:
             mu0 = float(pdf["mu0"].iloc[0])
             var0 = float(pdf["var0"].iloc[0])

@@ -5,16 +5,14 @@
 * **MNAD** — per continuous column, RMSE between estimate and truth divided
   by the column's ground-truth standard deviation; averaged over columns.
 
-Both come in a pandas flavour (used inside kernels and the online
-simulator) and a Spark SQL flavour (used by the table harnesses, and
-verified against DuckDB by the oracle tests).
+Both are pandas functions, used by the table harnesses, the online
+simulator and the benchmark, and verified against DuckDB queries by the
+oracle tests (tests/test_metrics.py).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from .schema import TableSchema
 
@@ -51,80 +49,3 @@ def mnad(est: pd.DataFrame, truth: pd.DataFrame, schema: TableSchema) -> float:
         sd = float(mj["truth"].std(ddof=0))
         vals.append(rmse / max(sd, 1e-12))
     return float(np.mean(vals)) if vals else float("nan")
-
-
-def worker_actual_quality(
-    answers: pd.DataFrame, truth: pd.DataFrame, schema: TableSchema
-) -> pd.DataFrame:
-    """Per-worker actual quality from ground truth (for §6.4.1 calibration):
-    categorical accuracy and continuous error std (per-column-normalised)."""
-    m = answers.merge(truth, on=["row", "col"])
-    cat = m[m["col"].isin(set(schema.categorical_idx))]
-    cont = m[m["col"].isin(set(schema.continuous_idx))].copy()
-    out = pd.DataFrame(index=sorted(answers["worker"].unique()))
-    out.index.name = "worker"
-    if not cat.empty:
-        out["cat_accuracy"] = (
-            (cat["value"].round() == cat["truth"].round()).groupby(cat["worker"]).mean()
-        )
-    if not cont.empty:
-        sd = cont.groupby("col")["truth"].transform(lambda s: max(s.std(ddof=0), 1e-12))
-        cont["nerr"] = (cont["value"] - cont["truth"]) / sd
-        out["cont_err_std"] = cont.groupby("worker")["nerr"].apply(
-            lambda s: float(np.sqrt((s**2).mean()))
-        )
-    return out.reset_index()
-
-
-# ---------------------------------------------------------------------------
-# Spark SQL flavour — the harness path (oracle-verified in tests).
-# ---------------------------------------------------------------------------
-
-def error_rate_spark(
-    est: DataFrame, truth: DataFrame, schema: TableSchema
-) -> DataFrame:
-    """One-row DataFrame ``(error_rate)`` over categorical cells."""
-    cat = schema.categorical_idx
-    joined = est.alias("e").join(
-        truth.alias("t"), on=["row", "col"], how="inner"
-    )
-    return (
-        joined.where(F.col("col").isin(cat))
-        .select(
-            F.avg(
-                (F.round(F.col("e.truth")) != F.round(F.col("t.truth"))).cast("double")
-            ).alias("error_rate")
-        )
-    )
-
-
-def mnad_spark(est: DataFrame, truth: DataFrame, schema: TableSchema) -> DataFrame:
-    """One-row DataFrame ``(mnad)``: avg over continuous cols of RMSE/std."""
-    cont = schema.continuous_idx
-    joined = (
-        est.alias("e")
-        .join(truth.alias("t"), on=["row", "col"], how="inner")
-        .where(F.col("col").isin(cont))
-        .select(
-            "col",
-            (F.col("e.truth") - F.col("t.truth")).alias("err"),
-            F.col("t.truth").alias("gt"),
-        )
-    )
-    per_col = joined.groupBy("col").agg(
-        F.sqrt(F.avg(F.col("err") * F.col("err"))).alias("rmse"),
-        F.stddev_pop("gt").alias("sd"),
-    )
-    return per_col.select(
-        F.avg(F.col("rmse") / F.greatest(F.col("sd"), F.lit(1e-12))).alias("mnad")
-    )
-
-
-def est_to_spark(spark: SparkSession, est: pd.DataFrame) -> DataFrame:
-    """Lift a kernel's pandas estimate (row, col, truth) to Spark."""
-    from .schema import TRUTH_SPARK_SCHEMA
-
-    pdf = est[["row", "col", "truth"]].astype(
-        {"row": "int64", "col": "int64", "truth": "float64"}
-    )
-    return spark.createDataFrame(pdf, schema=TRUTH_SPARK_SCHEMA)

@@ -123,7 +123,8 @@ def validate_answers(answers: pd.DataFrame, schema: TableSchema) -> None:
 
     Malformed is a NaN or infinite value; a categorical value that is not an
     integer label code in ``0..n_labels-1``; a negative worker, row or
-    column id, or a column id ``>= n_cols``.
+    column id, or a column id ``>= n_cols``; or a second answer of a worker
+    to the same cell, where the first such answer is named.
     """
     worker, row, col, value = (
         answers[f].to_numpy(np.float64) for f in ("worker", "row", "col", "value")
@@ -134,14 +135,25 @@ def validate_answers(answers: pd.DataFrame, schema: TableSchema) -> None:
     finite = np.isfinite(value)
     bad_label = (labels > 0) & ~((value >= 0) & (value < labels) & (value == np.round(value)))
     bad = bad_id | ~finite | bad_label
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    reason = (
-        "negative id or column out of range" if bad_id[i]
-        else "non-finite value" if not finite[i]
-        else f"not a label code 0..{int(labels[i]) - 1}"
-    )
+    if bad.any():
+        i = int(np.argmax(bad))
+        reason = (
+            "negative id or column out of range" if bad_id[i]
+            else "non-finite value" if not finite[i]
+            else f"not a label code 0..{int(labels[i]) - 1}"
+        )
+    else:
+        # A stable sort on the ids as they are (no combined key to overflow)
+        # keeps equal (worker, row, col) in answer order.
+        ids = [answers[f].to_numpy() for f in ("col", "row", "worker")]
+        order = np.lexsort(ids)
+        same = np.logical_and.reduce([np.diff(x[order]) == 0 for x in ids])
+        if not same.any():
+            return
+        dup = order[1:][same]
+        k = int(np.argmin(dup))
+        i = int(dup[k])
+        reason = f"duplicate (worker, row, col) of position {int(order[:-1][same][k])}"
     raise ValueError(
         f"malformed answer at position {i} (worker={answers['worker'].iloc[i]}, "
         f"row={answers['row'].iloc[i]}, col={answers['col'].iloc[i]}, "

@@ -6,9 +6,9 @@ average replicates to remove seed luck — DESIGN.md §6), and reports Error
 Rate / MNAD next to the paper's numbers.
 
 Replicates × datasets fan out over Spark via ``applyInPandas`` on a spec
-relation — the experiment grid is itself a DataFrame job. The metric
-computation for the headline engine is Spark SQL (oracle-verified in
-tests); the per-replicate method kernels run inside the Spark tasks.
+relation — the experiment grid is itself a DataFrame job. The
+per-replicate method kernels and the Error Rate / MNAD computation
+(pandas, checked against DuckDB in tests) run inside the Spark tasks.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Tests for the §5 assignment policies and information-gain math."""
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -27,13 +28,33 @@ from repro.core.correlation import (
     combined_conditional,
     fit_error_model,
 )
-from repro.core.em import CatPosterior, EMState, tcrowd_em
+from repro.core.em import EMState, tcrowd_em
+from repro.crowd.schema import restrict_answers
 from repro.crowd.stats import erf
 
 
 # ---------------------------------------------------------------------------
 # Reference: the per-cell scoring the array kernel replaced, kept verbatim.
 # ---------------------------------------------------------------------------
+
+class _Post(NamedTuple):
+    """One categorical cell posterior: ``probs`` over its answered labels,
+    and ``n_unanswered`` labels at ``p0`` each."""
+
+    probs: np.ndarray
+    n_unanswered: int
+    p0: float
+
+
+def _posts(cat_cells) -> dict:
+    """``(row, col)`` -> :class:`_Post` of each cell of a ``CatCells``."""
+    return {
+        (int(r), int(c)): _Post(cat_cells.probs[i, :n], int(nu), float(p))
+        for i, (r, c, n, nu, p) in enumerate(zip(
+            cat_cells.rows, cat_cells.cols, cat_cells.n_ans, cat_cells.n_un, cat_cells.p0
+        ))
+    }
+
 
 def _cell_params(view: AssignmentView, worker: int, row: int, col: int):
     st = view.result.state
@@ -99,7 +120,7 @@ def _ref_inherent_gains(view: AssignmentView, worker: int) -> dict:
         t_phi = float(rec.t_phi)
         t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_u)
         ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
-    for cell, post in res.cat_cells.items():
+    for cell, post in _posts(res.cat_cells).items():
         v_u = _cell_params(view, worker, *cell)
         q = float(erf(eps / np.sqrt(2.0 * v_u)))
         n_labels = view.schema.column(cell[1]).n_labels
@@ -131,6 +152,7 @@ def _ref_structure_gains(view: AssignmentView, worker: int) -> dict:
     if model is None:
         return ig
     observed = _ref_observed_errors(view, worker)
+    posts = _posts(view.result.cat_cells)
     for row, errs in observed.items():
         for j in range(view.schema.n_cols):
             cell = (row, j)
@@ -140,7 +162,7 @@ def _ref_structure_gains(view: AssignmentView, worker: int) -> dict:
             if dist is None:
                 continue
             if isinstance(dist, Bernoulli):
-                post = view.result.cat_cells.get(cell)
+                post = posts.get(cell)
                 if post is None:
                     continue
                 q_eff = float(np.clip(1.0 - dist.p_wrong, _EPS_Q, 1.0 - _EPS_Q))
@@ -221,12 +243,7 @@ def partial_view(view):
 
 class TestCatIG:
     def _post(self, probs, n_un=0, p0=0.0):
-        return CatPosterior(
-            labels=np.arange(len(probs), dtype=float),
-            probs=np.asarray(probs, dtype=float),
-            n_unanswered=n_un,
-            p0=p0,
-        )
+        return _Post(np.asarray(probs, dtype=float), n_un, p0)
 
     def _ig(self, post, q, n_labels):
         return _kernel([post], [q], [n_labels])[0]
@@ -280,8 +297,7 @@ def _posteriors(draw):
         if sum(w[:n_ans]) + n_un * w[n_ans] <= 0:
             w = [1.0] * (n_ans + 1)
         total = sum(w[:n_ans]) + n_un * w[n_ans]
-        posts.append(CatPosterior(
-            labels=np.arange(n_ans, dtype=float),
+        posts.append(_Post(
             probs=np.array(w[:n_ans]) / total,
             n_unanswered=n_un,
             p0=w[n_ans] / total if n_un else 0.0,
@@ -304,8 +320,7 @@ class TestCatIGKernel:
 
     def test_named_cases_in_one_call(self):
         def post(probs, n_un=0, p0=0.0):
-            return CatPosterior(np.arange(len(probs), dtype=float),
-                                np.asarray(probs, dtype=float), n_un, p0)
+            return _Post(np.asarray(probs, dtype=float), n_un, p0)
 
         wide = np.random.default_rng(4).random(9)
         total = wide.sum() + 0.5
@@ -366,6 +381,24 @@ class TestUniformEntropy:
         for (r, c), h in ent.items():
             if c in tiny_ds.schema.categorical_idx:
                 assert h >= -1e-12
+
+
+def test_policies_on_table_without_categorical_answers(tiny_ds):
+    answers = restrict_answers(tiny_ds.answers, tiny_ds.schema, "cont")
+    res = tcrowd_em(answers, tiny_ds.schema)
+    assert len(res.cat_cells.rows) == 0
+    view = AssignmentView(
+        schema=tiny_ds.schema, n_rows=30, answers=answers, result=res,
+        error_model=fit_error_model(answers, res.truth, tiny_ds.schema),
+    )
+    cont = set(zip(res.cont_cells["row"].tolist(), res.cont_cells["col"].tolist()))
+    assert set(uniform_entropy(view)) == cont
+    for policy in (EntropyPolicy(), InherentIGPolicy(), StructureAwarePolicy()):
+        picks = policy.pick(view, 0, 5)
+        assert len(picks) == 5 and set(picks) <= cont
+    for policy, ref in ((InherentIGPolicy(), _ref_inherent_gains),
+                        (StructureAwarePolicy(), _ref_structure_gains)):
+        assert policy.gains(view, 0) == ref(view, 0)
 
 
 class TestPolicies:

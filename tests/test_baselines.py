@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines.catd import catd
-from repro.baselines.crh import crh, crh_worker_weights
+from repro.baselines.crh import crh
 from repro.baselines.ds import dawid_skene, zencrowd
 from repro.baselines.glad import glad
 from repro.baselines.gtm import gtm
@@ -129,19 +129,6 @@ class TestAccuracy:
         assert mnad(out, tiny_ds.truth, tiny_ds.schema) <= mnad(
             mean_est, tiny_ds.truth, tiny_ds.schema
         ) * 1.15
-
-
-class TestCrh:
-    def test_weights_favour_good_workers(self, tiny_ds):
-        w = crh_worker_weights(tiny_ds.answers, tiny_ds.schema)
-        phi = tiny_ds.worker_phi
-        merged = w.set_index("worker").join(phi.rename("phi"))
-        r = np.corrcoef(merged["weight"], merged["phi"])[0, 1]
-        assert r < -0.3
-
-    def test_weights_positive(self, tiny_ds):
-        w = crh_worker_weights(tiny_ds.answers, tiny_ds.schema)
-        assert (w["weight"] > 0).all()
 
 
 class TestCatd:

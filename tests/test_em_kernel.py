@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.em import (
     AnswerLayout,
-    CatPosterior,
+    CatCells,
     EMState,
     column_moments,
     estep_categorical_column,
@@ -27,7 +27,13 @@ from repro.core.em import (
 )
 from repro.crowd import datasets as D
 from repro.crowd.metrics import error_rate, mnad
-from repro.crowd.schema import CATEGORICAL, CONTINUOUS, ColumnSpec, TableSchema
+from repro.crowd.schema import (
+    CATEGORICAL,
+    CONTINUOUS,
+    ColumnSpec,
+    TableSchema,
+    restrict_answers,
+)
 from repro.crowd.stats import erf
 
 
@@ -84,71 +90,82 @@ class TestEstepCategorical:
         rows = np.zeros(3, dtype=int)
         values = np.full(3, 2.0)
         v = np.ones(3)
-        posts, w, q = estep_categorical_column(rows, values, v, 5, eps=1.0)
-        post = posts[0]
-        assert post.argmax() == 2.0
+        cells, w, q = estep_categorical_column(rows, values, v, 5, eps=1.0)
+        assert cells.truth().tolist() == [2.0]
         assert w.min() > 0.9
 
     def test_posterior_normalised(self):
         rows = np.array([0, 0, 0])
         values = np.array([1.0, 2.0, 1.0])
         v = np.array([0.5, 1.0, 2.0])
-        posts, _, _ = estep_categorical_column(rows, values, v, 6, eps=1.0)
-        p = posts[0]
-        total = p.probs.sum() + p.n_unanswered * p.p0
+        cells, _, _ = estep_categorical_column(rows, values, v, 6, eps=1.0)
+        total = cells.probs[0].sum() + cells.n_un[0] * cells.p0[0]
         assert total == pytest.approx(1.0)
 
     def test_two_answer_conflict_better_worker_wins(self):
         rows = np.array([0, 0])
         values = np.array([1.0, 3.0])
         v = np.array([0.05, 5.0])  # first worker far more reliable
-        posts, _, _ = estep_categorical_column(rows, values, v, 4, eps=1.0)
-        assert posts[0].argmax() == 1.0
+        cells, _, _ = estep_categorical_column(rows, values, v, 4, eps=1.0)
+        assert cells.truth().tolist() == [1.0]
+
+    def test_truth_is_an_answered_label_for_worse_than_random_worker(self):
+        # q = erf(1/√200) ≈ 0.08 < 1/4: each unanswered label is more probable.
+        cells, _, _ = estep_categorical_column(
+            np.zeros(1, dtype=int), np.array([2.0]), np.array([100.0]), 4, eps=1.0
+        )
+        assert cells.probs[0, 0] < cells.p0[0]
+        assert cells.truth().tolist() == [2.0]
 
     def test_hand_computed_two_workers(self):
         # L=2, both answer label 1, qualities q1, q2:
         # P(T=1) ∝ q1 q2 ; P(T=0) ∝ (1-q1)(1-q2).
         v = np.array([0.8, 1.5])
         q1, q2 = (erf(1 / math.sqrt(2 * 0.8)), erf(1 / math.sqrt(2 * 1.5)))
-        posts, _, _ = estep_categorical_column(
+        cells, _, _ = estep_categorical_column(
             np.zeros(2, dtype=int), np.ones(2), v, 2, eps=1.0
         )
         want = (q1 * q2) / (q1 * q2 + (1 - q1) * (1 - q2))
-        got = posts[0].probs[posts[0].labels == 1.0][0]
+        assert cells.labels.tolist() == [[1.0]]
+        got = cells.probs[0, 0]
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_unanswered_mass_counts(self):
-        posts, _, _ = estep_categorical_column(
+        cells, _, _ = estep_categorical_column(
             np.zeros(2, dtype=int), np.array([0.0, 1.0]), np.ones(2), 10, eps=1.0
         )
-        p = posts[0]
-        assert p.n_unanswered == 8
-        assert len(p.labels) == 2
+        assert cells.n_un.tolist() == [8]
+        assert cells.n_ans.tolist() == [2]
 
     def test_per_answer_w_is_own_label_posterior(self):
         rows = np.array([0, 0])
         values = np.array([0.0, 1.0])
-        posts, w, _ = estep_categorical_column(rows, values, np.ones(2), 3, eps=1.0)
-        p = posts[0]
-        for lab, expect in zip(p.labels, p.probs):
+        cells, w, _ = estep_categorical_column(rows, values, np.ones(2), 3, eps=1.0)
+        for lab, expect in zip(cells.labels[0], cells.probs[0]):
             assert w[values == lab][0] == pytest.approx(expect)
 
 
+def _one_cell(probs, n_un, p0):
+    """A :class:`CatCells` of one cell with answered labels 0, 1, ..."""
+    n = len(probs)
+    one = lambda x: np.array([x], dtype=np.int64)  # noqa: E731
+    return CatCells(
+        rows=one(0), cols=one(0), n_labels=one(n + n_un), n_ans=one(n), n_un=one(n_un),
+        p0=np.array([p0]), labels=np.arange(n, dtype=np.float64)[None, :],
+        probs=np.array([probs], dtype=np.float64),
+    )
+
+
 class TestCatPosterior:
+    """Entropy of a one-cell :class:`CatCells` posterior."""
+
     def test_entropy_uniform(self):
-        p = CatPosterior(
-            labels=np.array([0.0, 1.0]),
-            probs=np.array([0.25, 0.25]),
-            n_unanswered=2,
-            p0=0.25,
-        )
-        assert p.entropy() == pytest.approx(math.log(4))
+        p = _one_cell([0.25, 0.25], n_un=2, p0=0.25)
+        assert p.entropy()[0] == pytest.approx(math.log(4))
 
     def test_entropy_certain(self):
-        p = CatPosterior(
-            labels=np.array([0.0]), probs=np.array([1.0]), n_unanswered=3, p0=0.0
-        )
-        assert p.entropy() == pytest.approx(0.0)
+        p = _one_cell([1.0], n_un=3, p0=0.0)
+        assert p.entropy()[0] == pytest.approx(0.0)
 
 
 class TestMStep:
@@ -410,7 +427,7 @@ def _reference_categorical(rows, values, v, n_labels, eps):
     posteriors = {}
     for c in range(n_cells):
         sl = np.flatnonzero(cell_inv == c)
-        posteriors[int(cell_rows[c])] = CatPosterior(
+        posteriors[int(cell_rows[c])] = (
             pair_label[sl].astype(np.float64), pair_p[sl], int(n_un[c]), float(p0[c])
         )
     return posteriors, pair_p[pair_inv], q
@@ -503,12 +520,13 @@ class TestLayoutEstep:
                     assert got["by_kind"][kind][k].dtype == want_arr.dtype
                     assert np.array_equal(got["by_kind"][kind][k], want_arr), (kind, k)
         pd.testing.assert_frame_equal(cont, want_cont, check_exact=True)
-        assert list(cat) == list(want_cat)
-        for key, want in want_cat.items():
-            got = cat[key]
-            assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(got.probs, want.probs)
-            assert (got.n_unanswered, got.p0) == (want.n_unanswered, want.p0)
+        assert list(zip(cat.rows.tolist(), cat.cols.tolist())) == list(want_cat)
+        for i, (labels, probs, n_un, p0) in enumerate(want_cat.values()):
+            n = cat.n_ans[i]
+            assert np.array_equal(cat.labels[i, :n], labels)
+            assert np.array_equal(cat.probs[i, :n], probs)
+            assert not cat.labels[i, n:].any() and not cat.probs[i, n:].any()
+            assert (cat.n_un[i], cat.p0[i]) == (n_un, p0)
 
 
 def _reference_q_objective(stats, state, eps, reg_alpha, reg_phi):
@@ -542,6 +560,25 @@ class TestQObjectiveSplit:
             q, g = q_objective(given_stats, state, 1.0, 2.0, 0.5)
             assert q == want_q
             assert np.array_equal(g, want_g)
+
+
+class TestCatCellsRecord:
+    @given(_answers_and_state(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_padded_normalised_posteriors(self, case, cont_only):
+        answers, _ = case
+        if cont_only:  # no categorical answers: the record has no rows
+            answers = restrict_answers(answers, _ESTEP_SCHEMA, "cont")
+        cat = tcrowd_em(answers, _ESTEP_SCHEMA, max_iter=3).cat_cells
+        n = len(cat.rows)
+        assert n == 0 if cont_only else n > 0
+        assert cat.truth().shape == cat.entropy().shape == (n,)
+        assert (cat.n_ans + cat.n_un == cat.n_labels).all()
+        for i in range(n):
+            k = cat.n_ans[i]
+            assert abs(cat.probs[i, :k].sum() + cat.n_un[i] * cat.p0[i] - 1.0) <= 1e-12
+            assert not cat.probs[i, k:].any() and not cat.labels[i, k:].any()
+            assert (np.diff(cat.labels[i, :k]) > 0).all()
 
 
 class TestPinnedResult:

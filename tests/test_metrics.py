@@ -1,16 +1,9 @@
-"""Tests for Error Rate / MNAD — pandas and Spark, DuckDB-oracle-verified."""
+"""Tests for Error Rate / MNAD: hand cases and the DuckDB oracle."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.crowd.metrics import (
-    error_rate,
-    error_rate_spark,
-    est_to_spark,
-    mnad,
-    mnad_spark,
-    worker_actual_quality,
-)
+from repro.crowd.metrics import error_rate, mnad
 from repro.crowd.schema import CATEGORICAL, CONTINUOUS, ColumnSpec, TableSchema
 from repro.oracle import assert_equivalent
 
@@ -76,27 +69,11 @@ class TestPandasMetrics:
         assert mnad(scaled_est, scaled_truth, mixed_schema) == pytest.approx(base)
 
 
-class TestSparkMetrics:
-    def test_error_rate_matches_pandas(self, spark, tiny_ds, tiny_em):
-        er_pd = error_rate(tiny_em.truth, tiny_ds.truth, tiny_ds.schema)
-        est_df = est_to_spark(spark, tiny_em.truth)
-        _, truth_df = tiny_ds.to_spark(spark)
-        er_sp = error_rate_spark(est_df, truth_df, tiny_ds.schema).first()["error_rate"]
-        assert er_sp == pytest.approx(er_pd)
-
-    def test_mnad_matches_pandas(self, spark, tiny_ds, tiny_em):
-        mn_pd = mnad(tiny_em.truth, tiny_ds.truth, tiny_ds.schema)
-        est_df = est_to_spark(spark, tiny_em.truth)
-        _, truth_df = tiny_ds.to_spark(spark)
-        mn_sp = mnad_spark(est_df, truth_df, tiny_ds.schema).first()["mnad"]
-        assert mn_sp == pytest.approx(mn_pd, rel=1e-9)
-
-    def test_error_rate_oracle(self, spark, tiny_ds, tiny_em):
-        est_df = est_to_spark(spark, tiny_em.truth)
-        _, truth_df = tiny_ds.to_spark(spark)
+class TestMetricsOracle:
+    def test_error_rate_oracle(self, tiny_ds, tiny_em):
         cats = ",".join(str(j) for j in tiny_ds.schema.categorical_idx)
         assert_equivalent(
-            error_rate_spark(est_df, truth_df, tiny_ds.schema),
+            pd.DataFrame({"error_rate": [error_rate(tiny_em.truth, tiny_ds.truth, tiny_ds.schema)]}),
             f"""
             SELECT avg(CASE WHEN round(e.truth) <> round(t.truth)
                        THEN 1.0 ELSE 0.0 END) AS error_rate
@@ -107,12 +84,10 @@ class TestSparkMetrics:
             gt=tiny_ds.truth,
         )
 
-    def test_mnad_oracle(self, spark, tiny_ds, tiny_em):
-        est_df = est_to_spark(spark, tiny_em.truth)
-        _, truth_df = tiny_ds.to_spark(spark)
+    def test_mnad_oracle(self, tiny_ds, tiny_em):
         conts = ",".join(str(j) for j in tiny_ds.schema.continuous_idx)
         assert_equivalent(
-            mnad_spark(est_df, truth_df, tiny_ds.schema),
+            pd.DataFrame({"mnad": [mnad(tiny_em.truth, tiny_ds.truth, tiny_ds.schema)]}),
             f"""
             WITH joined AS (
                 SELECT e.col, e.truth - t.truth AS err, t.truth AS gt
@@ -127,19 +102,3 @@ class TestSparkMetrics:
             est=tiny_em.truth,
             gt=tiny_ds.truth,
         )
-
-
-class TestWorkerActualQuality:
-    def test_columns_present(self, tiny_ds):
-        q = worker_actual_quality(tiny_ds.answers, tiny_ds.truth, tiny_ds.schema)
-        assert {"worker", "cat_accuracy", "cont_err_std"} <= set(q.columns)
-
-    def test_quality_consistent_across_types(self, restaurant_ds):
-        # §6.4.1: a worker's categorical accuracy and continuous error are
-        # negatively correlated (good workers good at both).
-        q = worker_actual_quality(
-            restaurant_ds.answers, restaurant_ds.truth, restaurant_ds.schema
-        ).dropna()
-        q = q[q["worker"].map(restaurant_ds.answers["worker"].value_counts()) >= 10]
-        r = np.corrcoef(q["cat_accuracy"], q["cont_err_std"])[0, 1]
-        assert r < -0.3

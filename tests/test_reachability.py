@@ -1,0 +1,65 @@
+"""Every public module-level name in ``src/repro`` is used by the system.
+
+A function, class or constant defined at the top of a module must be
+referenced somewhere in ``src/``, ``jobs/`` or ``perfbench/`` outside its own
+definition; tests alone do not keep code alive. A reference is a name, an
+attribute, an imported name, or a string that is exactly the name (the
+benchmark patches functions by attribute name).
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src", "jobs", "perfbench")
+
+# name -> why it stays although nothing in SCANNED references it.
+ALLOWED = {
+    "assert_equivalent": "the DuckDB test oracle: a tool for the tests only",
+    "METHOD_SCOPE": "Table 7 metadata (which cells a method estimates), read by the harness test",
+}
+
+
+def _references(node: ast.AST) -> Counter:
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out[n.value] += 1
+    return out
+
+
+def _public_definitions(tree: ast.Module):
+    """``(name, node)`` of each public top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_is_referenced():
+    trees = {
+        path: ast.parse(path.read_text())
+        for d in SCANNED for path in sorted((ROOT / d).rglob("*.py"))
+    }
+    total = sum((_references(t) for t in trees.values()), Counter())
+    unused = {
+        name: path.relative_to(ROOT)
+        for path, tree in trees.items() if path.is_relative_to(ROOT / "src" / "repro")
+        for name, node in _public_definitions(tree)
+        if total[name] - _references(node)[name] <= 0
+    }
+    extra = [f"{path}: {name}" for name, path in unused.items() if name not in ALLOWED]
+    assert not extra, "referenced nowhere in src/, jobs/ or perfbench/: " + ", ".join(extra)
+    # An allowed name that gained a reference, or was deleted, leaves the list.
+    assert set(ALLOWED) <= set(unused), set(ALLOWED) - set(unused)

@@ -166,6 +166,19 @@ class TestValidateAnswers:
         with pytest.raises(ValueError, match="position 1.*non-finite"):
             validate_answers(a, self.schema)
 
+    def test_rejects_duplicate_answer(self):
+        # Worker 1 answers cell (0, 0) at positions 1 and 3 and again at 4;
+        # ids near 2**62 would overflow a combined int64 key.
+        big = 2**62
+        a = pd.DataFrame({
+            "worker": [0, 1, big, 1, 1], "row": [0, 0, big, 0, 0],
+            "col": [0, 0, 1, 0, 0], "value": [1.0, 2.0, 3.0, 0.0, 1.0],
+        })
+        with pytest.raises(ValueError, match=r"position 3 \(worker=1, row=0, col=0.*"
+                           r"duplicate \(worker, row, col\) of position 1$"):
+            validate_answers(a, self.schema)
+        validate_answers(a.iloc[:3], self.schema)
+
     def test_generated_datasets_pass(self, tiny_ds, restaurant_ds):
         for ds in (tiny_ds, restaurant_ds):
             validate_answers(ds.answers, ds.schema)

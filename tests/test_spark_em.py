@@ -108,12 +108,14 @@ class TestEstepKernel:
         rows[:2], values[:2], v[:2] = 99, [3.0, 1.0], 1.0
         out = _estep_column_kernel(1.0)(self._group(rows, values, v, n_labels))
         order = np.lexsort((np.arange(n), rows))  # the kernel's (row, worker) sort
-        posts, w, _ = estep_categorical_column(rows[order], values[order], v[order],
+        cells, w, _ = estep_categorical_column(rows[order], values[order], v[order],
                                                n_labels, 1.0)
-        assert out["t_hat"].tolist() == [posts[r].argmax() for r in rows[order]]
-        assert posts[99].argmax() == 1.0
+        at = {r: i for i, r in enumerate(cells.rows.tolist())}
+        t_hat, ent = cells.truth(), cells.entropy()
+        assert out["t_hat"].tolist() == [t_hat[at[r]] for r in rows[order]]
+        assert t_hat[at[99]] == 1.0
         np.testing.assert_allclose(
-            out["t_entropy"], [posts[r].entropy() for r in rows[order]], rtol=0, atol=1e-12
+            out["t_entropy"], [ent[at[r]] for r in rows[order]], rtol=0, atol=1e-12
         )
         assert out["w"].tolist() == w.tolist()
 

@@ -1,16 +1,8 @@
-"""MV / Median: pandas vs Spark SQL vs DuckDB oracle."""
+"""MV / Median: pandas kernels against hand cases and the DuckDB oracle."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.baselines.voting import (
-    majority_vote,
-    majority_vote_spark,
-    median_vote,
-    median_vote_spark,
-    mv_median,
-    mv_median_spark,
-)
+from repro.baselines.voting import majority_vote, median_vote, mv_median
 from repro.crowd.schema import CATEGORICAL, CONTINUOUS, ColumnSpec, TableSchema
 from repro.oracle import assert_equivalent
 
@@ -65,30 +57,6 @@ class TestPandasKernels:
         assert mv_median(empty, hand_schema).empty
 
 
-class TestSparkMatchesPandas:
-    def test_mv(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
-        sp = (
-            majority_vote_spark(a_df, tiny_ds.schema)
-            .toPandas()
-            .sort_values(["row", "col"])
-            .reset_index(drop=True)
-        )
-        pdk = majority_vote(tiny_ds.answers, tiny_ds.schema)
-        pd.testing.assert_frame_equal(sp, pdk, check_dtype=False)
-
-    def test_median(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
-        sp = (
-            median_vote_spark(a_df, tiny_ds.schema)
-            .toPandas()
-            .sort_values(["row", "col"])
-            .reset_index(drop=True)
-        )
-        pdk = median_vote(tiny_ds.answers, tiny_ds.schema)
-        pd.testing.assert_frame_equal(sp, pdk, check_dtype=False)
-
-
 def _mv_sql(schema):
     """Majority vote per categorical cell, ties to the smaller label."""
     cats = ",".join(str(j) for j in schema.categorical_idx)
@@ -109,25 +77,23 @@ def _mv_sql(schema):
 
 
 class TestOracle:
-    def test_mv_spark_oracle(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
+    def test_mv_oracle(self, tiny_ds):
         assert_equivalent(
-            majority_vote_spark(a_df, tiny_ds.schema),
+            majority_vote(tiny_ds.answers, tiny_ds.schema),
             _mv_sql(tiny_ds.schema),
             answers=tiny_ds.answers,
         )
 
-    def test_oracle_catches_wrong_result(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
-        wrong = majority_vote_spark(a_df, tiny_ds.schema).withColumn("truth", F.col("truth") + 1)
+    def test_oracle_catches_wrong_result(self, tiny_ds):
+        mv = majority_vote(tiny_ds.answers, tiny_ds.schema)
+        wrong = mv.assign(truth=mv["truth"] + 1)
         with pytest.raises(AssertionError):
             assert_equivalent(wrong, _mv_sql(tiny_ds.schema), answers=tiny_ds.answers)
 
-    def test_median_spark_oracle(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
+    def test_median_oracle(self, tiny_ds):
         conts = ",".join(str(j) for j in tiny_ds.schema.continuous_idx)
         assert_equivalent(
-            median_vote_spark(a_df, tiny_ds.schema),
+            median_vote(tiny_ds.answers, tiny_ds.schema),
             f"""
             SELECT row, col, median(value) AS truth
             FROM answers WHERE col IN ({conts})
@@ -136,11 +102,10 @@ class TestOracle:
             answers=tiny_ds.answers,
         )
 
-    def test_mv_median_union_oracle(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
+    def test_mv_median_union_oracle(self, tiny_ds):
         conts = ",".join(str(j) for j in tiny_ds.schema.continuous_idx)
         assert_equivalent(
-            mv_median_spark(a_df, tiny_ds.schema),
+            mv_median(tiny_ds.answers, tiny_ds.schema),
             _mv_sql(tiny_ds.schema) + f"""
             UNION ALL
             SELECT row, col, median(value) AS truth
