@@ -6,25 +6,33 @@ normalised squared loss l_u,
 
     w_u = chi2_ppf(1 - significance/2, df = n_u) / l_u ,
 
-so workers with few answers (the long tail) are not over-trusted. Truth
-estimation is then one weighted vote / weighted mean pass, iterated a few
-times from an MV/median initialisation (the original algorithm iterates
-weight ↔ truth updates until stable).
+meant to keep workers with few answers (the long tail) from being
+over-trusted. With the upper quantile the effect is the reverse: at equal
+loss per answer χ²_{0.975}(n)/n falls as n grows, so a 5-answer worker
+gets 1.7x the weight of a 40-answer one (an expected-failure test in
+tests/test_baselines.py records this). Distances, the weighted vote and
+mean, the MV/median start and the stopping rule are CRH's loop
+(:func:`repro.baselines.crh.weighted_truth_discovery`) with this weight.
 
 The χ² quantile comes from `repro.crowd.stats.chi2_ppf` (Wilson–Hilferty;
 no scipy offline).
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 
 from ..crowd.schema import TableSchema
 from ..crowd.stats import chi2_ppf
-from .crh import _column_sd
-from .voting import mv_median
+from .crh import weighted_truth_discovery
 
-_EPS = 1e-9
+
+def catd_weights(n_u: np.ndarray, *, significance: float):
+    """w_u = chi2_ppf(1 - significance/2, n_u) / loss_u."""
+    chi = chi2_ppf(1.0 - significance / 2.0, n_u)
+    return lambda loss_u: chi / loss_u
 
 
 def catd(
@@ -35,50 +43,5 @@ def catd(
     max_iter: int = 10,
     tol: float = 1e-6,
 ) -> pd.DataFrame:
-    a = answers.copy()
-    cat_cols = set(schema.categorical_idx)
-    sds = _column_sd(a, schema)
-    a["is_cat"] = a["col"].isin(cat_cols)
-    a["sd"] = a["col"].map(sds).fillna(1.0)
-
-    truth = mv_median(a[["worker", "row", "col", "value"]], schema)
-    workers, w_inv = np.unique(a["worker"].to_numpy(np.int64), return_inverse=True)
-    n_u = np.bincount(w_inv).astype(float)
-    chi = chi2_ppf(1.0 - significance / 2.0, n_u)
-
-    prev_loss = None
-    for _ in range(max_iter):
-        m = a.merge(truth, on=["row", "col"])
-        is_cat = m["is_cat"].to_numpy()
-        err = np.where(
-            is_cat,
-            (m["value"].round() != m["truth"].round()).astype(float),
-            ((m["value"] - m["truth"]) / m["sd"]) ** 2,
-        )
-        loss_u = np.bincount(w_inv, weights=err, minlength=len(workers)) + _EPS
-        weights = chi / loss_u
-
-        a["w"] = weights[w_inv]
-        cat = a[a["is_cat"]].copy()
-        cat["label"] = cat["value"].round()
-        tv = (
-            cat.groupby(["row", "col", "label"])["w"].sum().reset_index()
-            .sort_values(["row", "col", "w", "label"], ascending=[True, True, False, True])
-            .drop_duplicates(["row", "col"], keep="first")
-            .rename(columns={"label": "truth"})[["row", "col", "truth"]]
-        )
-        cont = a[~a["is_cat"]]
-        tc = (
-            cont.assign(wv=cont["w"] * cont["value"])
-            .groupby(["row", "col"])[["wv", "w"]]
-            .sum()
-            .reset_index()
-        )
-        tc["truth"] = tc["wv"] / np.maximum(tc["w"], _EPS)
-        truth = pd.concat([tv, tc[["row", "col", "truth"]]], ignore_index=True)
-
-        total = float(err.sum())
-        if prev_loss is not None and abs(prev_loss - total) < tol * max(prev_loss, 1.0):
-            break
-        prev_loss = total
-    return truth.sort_values(["row", "col"]).reset_index(drop=True)
+    rule = partial(catd_weights, significance=significance)
+    return weighted_truth_discovery(answers, schema, rule, max_iter=max_iter, tol=tol)

@@ -1,4 +1,5 @@
-"""CRH baseline [18] — heterogeneous truth discovery.
+"""CRH baseline [18] — heterogeneous truth discovery — and the weight ↔ truth
+loop it shares with CATD.
 
 CRH minimises Σ_u w_u Σ_cells d(a^u_ij, T̂_ij) with the entropy-style
 regulariser that yields the closed-form weight update
@@ -8,43 +9,47 @@ regulariser that yields the closed-form weight update
 Distances follow the CRH paper: 0-1 loss for categorical columns and the
 squared distance normalised by the column's answer std for continuous
 columns. Truth updates are weighted votes (categorical) and weighted means
-(continuous). Initialisation is MV/median.
+(continuous). Initialisation is MV/median. :func:`weighted_truth_discovery`
+runs this loop for any weight rule; CATD (`catd.py`) differs only in it.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from ..crowd.schema import TableSchema
-from .voting import mv_median
+from ..crowd.schema import TableSchema, validate_answers
+from .voting import voted_truth
 
 _EPS = 1e-9
 
 
-def _column_sd(answers: pd.DataFrame, schema: TableSchema) -> dict[int, float]:
-    sds = {}
-    for j in schema.continuous_idx:
-        v = answers.loc[answers["col"] == j, "value"]
-        sds[j] = max(float(v.std(ddof=0)), _EPS)
-    return sds
-
-
-def crh(
+def weighted_truth_discovery(
     answers: pd.DataFrame,
     schema: TableSchema,
+    weight_rule,
     *,
-    max_iter: int = 20,
-    tol: float = 1e-6,
+    max_iter: int,
+    tol: float,
 ) -> pd.DataFrame:
+    """Alternate source weights and truths from an MV/median start.
+
+    ``weight_rule(n_u)``, called once with each worker's answer count,
+    returns the map from each worker's summed loss to its weight. Stops
+    after ``max_iter`` rounds, or once the total loss changes by less than
+    ``tol`` relative to the previous round's.
+    """
+    validate_answers(answers, schema)
     a = answers.copy()
-    cat_cols = set(schema.categorical_idx)
-    sds = _column_sd(a, schema)
-    a["is_cat"] = a["col"].isin(cat_cols)
+    sds = {
+        j: max(float(a.loc[a["col"] == j, "value"].std(ddof=0)), _EPS)
+        for j in schema.continuous_idx
+    }
+    a["is_cat"] = a["col"].isin(set(schema.categorical_idx))
     a["sd"] = a["col"].map(sds).fillna(1.0)
 
-    truth = mv_median(a[["worker", "row", "col", "value"]], schema)
+    truth = voted_truth(a[["worker", "row", "col", "value"]], schema)
     workers, w_inv = np.unique(a["worker"].to_numpy(np.int64), return_inverse=True)
-    weights = np.ones(len(workers))
+    weights = weight_rule(np.bincount(w_inv).astype(float))
 
     prev_loss = None
     for _ in range(max_iter):
@@ -56,10 +61,7 @@ def crh(
             ((m["value"] - m["truth"]) / m["sd"]) ** 2,
         )
         loss_u = np.bincount(w_inv, weights=err, minlength=len(workers)) + _EPS
-        weights = np.log(loss_u.sum() / loss_u)
-        weights = np.maximum(weights, _EPS)
-
-        a["w"] = weights[w_inv]
+        a["w"] = weights(loss_u)[w_inv]
         # Truth update: weighted vote / weighted mean.
         cat = a[a["is_cat"]].copy()
         cat["label"] = cat["value"].round()
@@ -84,3 +86,18 @@ def crh(
             break
         prev_loss = total
     return truth.sort_values(["row", "col"]).reset_index(drop=True)
+
+
+def crh_weights(n_u: np.ndarray):
+    """w_u = log(Σ loss / loss_u), floored at a tiny positive weight; n_u unused."""
+    return lambda loss_u: np.maximum(np.log(loss_u.sum() / loss_u), _EPS)
+
+
+def crh(
+    answers: pd.DataFrame,
+    schema: TableSchema,
+    *,
+    max_iter: int = 20,
+    tol: float = 1e-6,
+) -> pd.DataFrame:
+    return weighted_truth_discovery(answers, schema, crh_weights, max_iter=max_iter, tol=tol)

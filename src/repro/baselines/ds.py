@@ -8,14 +8,18 @@
 * :func:`zencrowd` — Zencrowd [10] models a single reliability ``p_u`` per
   worker. We share ``p_u`` across *all* categorical columns (its natural
   generalisation to tabular data), which pools more evidence per worker and
-  makes it the strongest pure-categorical baseline, as in the paper.
+  makes it the strongest pure-categorical baseline, as in the paper. Its
+  E-step is Eq. 3 with ``q = p_u``: T-Crowd's label-posterior kernel over
+  the :class:`~repro.baselines.cells.LabelCells` grouping it shares with
+  GLAD.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from ..crowd.schema import TableSchema, restrict_answers
+from ..crowd.schema import TableSchema, restrict_answers, validate_answers
+from .cells import LabelCells
 
 _SMOOTH = 0.01
 
@@ -64,6 +68,7 @@ def dawid_skene(
     tol: float = 1e-4,
 ) -> pd.DataFrame:
     """Per-column confusion-matrix EM over the categorical columns."""
+    validate_answers(answers, schema)
     out = []
     cat = restrict_answers(answers, schema, "cat")
     for j in schema.categorical_idx:
@@ -85,63 +90,22 @@ def zencrowd(
     tol: float = 1e-4,
 ) -> pd.DataFrame:
     """Single-reliability EM, p_u shared across all categorical columns."""
-    cat = restrict_answers(answers, schema, "cat").copy()
+    validate_answers(answers, schema)
+    cat = restrict_answers(answers, schema, "cat")
     if cat.empty:
         return pd.DataFrame(columns=["row", "col", "truth"])
-    cat["label"] = cat["value"].round().astype(np.int64)
+    cells = LabelCells.build(cat, schema)
     workers, w_inv = np.unique(cat["worker"].to_numpy(np.int64), return_inverse=True)
     p = np.full(len(workers), 0.8)
 
-    # Per-cell grouping shared across iterations.
-    cells = cat.groupby(["row", "col"], sort=True)
-    cell_keys = list(cells.groups.keys())
-    cell_of_answer = cells.ngroup().to_numpy()
-    n_labels_of_cell = np.array(
-        [schema.column(j).n_labels for (_, j) in cell_keys], dtype=np.float64
-    )
-
-    labels = cat["label"].to_numpy()
-    w_correct = np.full(len(cat), 0.5)
+    pair_p, w = np.full(len(cells.groups.pair_label), 0.5), np.full(len(cat), 0.5)
     for _ in range(max_iter):
-        # E-step: per cell, posterior over answered labels (+ unanswered mass).
-        q = np.clip(p[w_inv], 1e-6, 1 - 1e-6)
-        nl = n_labels_of_cell[cell_of_answer]
-        delta = np.log(q) - np.log((1 - q) / (nl - 1))
-        key = cell_of_answer * (int(cat["label"].max()) + 1) + labels
-        pair, pair_inv = np.unique(key, return_inverse=True)
-        pair_delta = np.bincount(pair_inv, weights=delta)
-        pair_cell = pair // (int(cat["label"].max()) + 1)
-        mx = np.zeros(len(cell_keys))
-        np.maximum.at(mx, pair_cell, pair_delta)
-        ex = np.exp(pair_delta - mx[pair_cell])
-        z = np.bincount(pair_cell, weights=ex, minlength=len(cell_keys))
-        n_ans_labels = np.bincount(pair_cell, minlength=len(cell_keys))
-        z += (n_labels_of_cell - n_ans_labels) * np.exp(-mx)
-        pair_p = ex / z[pair_cell]
-        new_w = pair_p[pair_inv]
+        pair_p, new_w = cells.posterior(np.clip(p[w_inv], 1e-6, 1 - 1e-6))
         # M-step: p_u = mean posterior-correct over u's answers.
         p = np.bincount(w_inv, weights=new_w) / np.bincount(w_inv)
         p = np.clip(p, 1e-3, 1 - 1e-3)
-        if np.abs(new_w - w_correct).max() < tol:
-            w_correct = new_w
+        if np.abs(new_w - w).max() < tol:
+            w = new_w
             break
-        w_correct = new_w
-
-    # Decode: per cell argmax over answered labels by their posterior.
-    dec = pd.DataFrame(
-        {
-            "cell": cell_of_answer,
-            "label": labels,
-            "p": w_correct,
-        }
-    ).groupby(["cell", "label"])["p"].max().reset_index()
-    dec = dec.sort_values(["cell", "p", "label"], ascending=[True, False, True])
-    dec = dec.drop_duplicates("cell", keep="first")
-    out = pd.DataFrame(
-        {
-            "row": [cell_keys[c][0] for c in dec["cell"]],
-            "col": [cell_keys[c][1] for c in dec["cell"]],
-            "truth": dec["label"].astype(float).to_numpy(),
-        }
-    )
-    return out.sort_values(["row", "col"]).reset_index(drop=True)
+        w = new_w
+    return cells.truth(pair_p)

@@ -9,14 +9,18 @@ per-column D&S but weaker than the unified model that also uses the
 continuous columns.
 
 EM with a gradient M-step (ascent on the expected complete log-likelihood
-with backtracking), mirroring Whitehill et al.'s optimisation.
+with backtracking), mirroring Whitehill et al.'s optimisation. The E-step
+is Eq. 3 with ``q = sigmoid(ability_u · easiness_t)``: T-Crowd's
+label-posterior kernel over the :class:`~repro.baselines.cells.LabelCells`
+grouping it shares with Zencrowd.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from ..crowd.schema import TableSchema, restrict_answers
+from ..crowd.schema import TableSchema, restrict_answers, validate_answers
+from .cells import LabelCells
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -32,44 +36,27 @@ def glad(
     tol: float = 1e-4,
 ) -> pd.DataFrame:
     """Run GLAD over all categorical cells jointly; returns (row, col, truth)."""
-    cat = restrict_answers(answers, schema, "cat").copy()
+    validate_answers(answers, schema)
+    cat = restrict_answers(answers, schema, "cat")
     if cat.empty:
         return pd.DataFrame(columns=["row", "col", "truth"])
-    cat["label"] = cat["value"].round().astype(np.int64)
-
+    cells = LabelCells.build(cat, schema)
     workers, w_inv = np.unique(cat["worker"].to_numpy(np.int64), return_inverse=True)
-    cells = cat.groupby(["row", "col"], sort=True)
-    cell_keys = list(cells.groups.keys())
-    t_inv = cells.ngroup().to_numpy()
-    n_t, n_w = len(cell_keys), len(workers)
-    nl = np.array([schema.column(j).n_labels for (_, j) in cell_keys], dtype=np.float64)
-    labels = cat["label"].to_numpy()
-    nl_a = nl[t_inv]
+    t_inv, nl_a = cells.inv, cells.n_labels
+    n_t, n_w = len(cells.rows), len(workers)
+    na = np.maximum(np.bincount(w_inv, minlength=n_w), 1)
+    nt = np.maximum(np.bincount(t_inv, minlength=n_t), 1)
 
     ability = np.ones(n_w)
     ln_ease = np.zeros(n_t)
 
-    def posteriors(ability, ln_ease):
-        """Per-cell posterior over answered labels; returns per-answer w."""
-        q = np.clip(_sigmoid(ability[w_inv] * np.exp(ln_ease[t_inv])), 1e-6, 1 - 1e-6)
-        delta = np.log(q) - np.log((1 - q) / (nl_a - 1))
-        lmax = int(labels.max()) + 1
-        key = t_inv * lmax + labels
-        pair, pair_inv = np.unique(key, return_inverse=True)
-        pair_delta = np.bincount(pair_inv, weights=delta)
-        pair_cell = pair // lmax
-        mx = np.zeros(n_t)
-        np.maximum.at(mx, pair_cell, pair_delta)
-        ex = np.exp(pair_delta - mx[pair_cell])
-        z = np.bincount(pair_cell, weights=ex, minlength=n_t)
-        n_ans = np.bincount(pair_cell, minlength=n_t)
-        z += (nl - n_ans) * np.exp(-mx)
-        pair_p = ex / z[pair_cell]
-        return pair_p[pair_inv], (pair, pair_p, pair_cell, lmax)
+    def correct_prob(ability, ln_ease):
+        """Per answer ``(q, x)``: x = ability · easiness, q = sigmoid(x) clipped."""
+        x = ability[w_inv] * np.exp(ln_ease[t_inv])
+        return np.clip(_sigmoid(x), 1e-6, 1 - 1e-6), x
 
     def q_and_grad(w, ability, ln_ease):
-        x = ability[w_inv] * np.exp(ln_ease[t_inv])
-        q = np.clip(_sigmoid(x), 1e-6, 1 - 1e-6)
+        q, x = correct_prob(ability, ln_ease)
         val = w * np.log(q) + (1 - w) * np.log((1 - q) / (nl_a - 1))
         # d/dx [w ln σ + (1-w) ln(1-σ)] = w - σ
         gx = w - q
@@ -79,13 +66,11 @@ def glad(
 
     w = np.full(len(cat), 0.5)
     for _ in range(max_iter):
-        new_w, _ = posteriors(ability, ln_ease)
+        _, new_w = cells.posterior(correct_prob(ability, ln_ease)[0])
         # M-step: backtracking gradient ascent on the expected ll.
         lr = 0.5
         q_cur, g_ab, g_le = q_and_grad(new_w, ability, ln_ease)
         for _g in range(grad_iters):
-            na = np.maximum(np.bincount(w_inv, minlength=n_w), 1)
-            nt = np.maximum(np.bincount(t_inv, minlength=n_t), 1)
             ok = False
             for _try in range(8):
                 ab2 = np.clip(ability + lr * g_ab / na, -8.0, 8.0)
@@ -104,15 +89,5 @@ def glad(
             break
         w = new_w
 
-    _, (pair, pair_p, pair_cell, lmax) = posteriors(ability, ln_ease)
-    dec = pd.DataFrame({"cell": pair_cell, "label": pair % lmax, "p": pair_p})
-    dec = dec.sort_values(["cell", "p", "label"], ascending=[True, False, True])
-    dec = dec.drop_duplicates("cell", keep="first")
-    out = pd.DataFrame(
-        {
-            "row": [cell_keys[c][0] for c in dec["cell"]],
-            "col": [cell_keys[c][1] for c in dec["cell"]],
-            "truth": dec["label"].astype(float).to_numpy(),
-        }
-    )
-    return out.sort_values(["row", "col"]).reset_index(drop=True)
+    pair_p, _ = cells.posterior(correct_prob(ability, ln_ease)[0])
+    return cells.truth(pair_p)

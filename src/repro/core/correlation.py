@@ -112,6 +112,13 @@ def fit_error_model(
     return ErrorModel(schema=schema, marginals=marginals, conditionals=conditionals, w=w)
 
 
+def _nrm(x: np.ndarray) -> tuple[float, float]:
+    """Mean and floored variance of ``x``; (0, 1) when it is empty."""
+    if len(x) == 0:
+        return 0.0, 1.0
+    return float(x.mean()), max(float(x.var()), _VAR_FLOOR)
+
+
 def _fit_conditional(ej: np.ndarray, ek: np.ndarray, j_cat: bool, k_cat: bool) -> dict:
     """ML parameters of P(e_j | e_k) for one of the four Table 5 cases."""
     if j_cat and k_cat:
@@ -133,19 +140,11 @@ def _fit_conditional(ej: np.ndarray, ek: np.ndarray, j_cat: bool, k_cat: bool) -
     if not j_cat and k_cat:
         # case (c): continuous j given categorical k — two normals.
         right = ek < 0.5
-        def _nrm(x):
-            if len(x) == 0:
-                return 0.0, 1.0
-            return float(x.mean()), max(float(x.var()), _VAR_FLOOR)
         mu_r, var_r = _nrm(ej[right])
         mu_w, var_w = _nrm(ej[~right])
         return {"case": "nc", "mu_r": mu_r, "var_r": var_r, "mu_w": mu_w, "var_w": var_w}
     # case (d): categorical j given continuous k — Bayes over two normals.
     right = ej < 0.5
-    def _nrm(x):
-        if len(x) == 0:
-            return 0.0, 1.0
-        return float(x.mean()), max(float(x.var()), _VAR_FLOOR)
     mu_r, var_r = _nrm(ek[right])
     mu_w, var_w = _nrm(ek[~right])
     return {

@@ -242,6 +242,26 @@ def cat_groups(rows: np.ndarray, values: np.ndarray, n_labels: int) -> CatGroups
     return CatGroups(pair_inv, pair_key % n_labels, cell_rows, cell_inv, n_answered)
 
 
+def label_posteriors(groups: CatGroups, delta: np.ndarray, n_un: np.ndarray):
+    """Label posterior of every cell under Eq. 3 (wrong-answer mass spread
+    uniformly over the other labels).
+
+    ``delta`` is each answer's log-odds ``ln q − ln((1 − q)/(L − 1))`` that
+    its label is the truth, ``n_un`` each cell's number of unanswered
+    labels (log-odds 0). Returns ``(pair_p, p0)``: the posterior of each
+    answered pair of ``groups`` and, per cell, that of each unanswered
+    label. The baselines that share Eq. 3 (Zencrowd, GLAD) call this too.
+    """
+    cell_inv = groups.cell_inv
+    pair_delta = np.bincount(groups.pair_inv, weights=delta)
+    n_cells = len(groups.cell_rows)
+    mx = np.zeros(n_cells)  # include the unanswered labels' delta of 0
+    np.maximum.at(mx, cell_inv, pair_delta)
+    ex = np.exp(pair_delta - mx[cell_inv])
+    z = np.bincount(cell_inv, weights=ex, minlength=n_cells) + n_un * np.exp(-mx)
+    return ex / z[cell_inv], np.exp(-mx) / z
+
+
 def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: float):
     """Array kernel of :func:`estep_categorical_column`.
 
@@ -252,18 +272,7 @@ def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: f
     t = eps / np.sqrt(2.0 * v)
     q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
     delta = np.log(q) - np.log((1.0 - q) / (n_labels - 1))
-
-    cell_inv = groups.cell_inv
-    pair_delta = np.bincount(groups.pair_inv, weights=delta)
-    n_cells = len(groups.cell_rows)
-    mx = np.zeros(n_cells)  # include the unanswered labels' delta of 0
-    np.maximum.at(mx, cell_inv, pair_delta)
-    ex = np.exp(pair_delta - mx[cell_inv])
-    sum_ex = np.bincount(cell_inv, weights=ex, minlength=n_cells)
-    n_un = n_labels - groups.n_answered
-    z = sum_ex + n_un * np.exp(-mx)
-    pair_p = ex / z[cell_inv]
-    p0 = np.exp(-mx) / z
+    pair_p, p0 = label_posteriors(groups, delta, n_labels - groups.n_answered)
     w = pair_p[groups.pair_inv]  # per-answer posterior prob that its label is truth
     return pair_p, p0, w, q
 

@@ -94,15 +94,20 @@ def emotion_schema() -> TableSchema:
     return TableSchema(name="emotion", columns=cols)
 
 
-def celebrity_like(seed: int = 7) -> CrowdDataset:
+#: Default generator seed of each real dataset; the harnesses draw replicate
+#: ``k`` of a dataset from ``BASE_SEED[name] + 100 * k``.
+BASE_SEED = {"celebrity": 7, "restaurant": 11, "emotion": 13}
+
+
+def celebrity_like(seed: int = BASE_SEED["celebrity"]) -> CrowdDataset:
     return _build(celebrity_schema(), n_rows=174, n_workers=150, n_per_task=5, seed=seed)
 
 
-def restaurant_like(seed: int = 11) -> CrowdDataset:
+def restaurant_like(seed: int = BASE_SEED["restaurant"]) -> CrowdDataset:
     return _build(restaurant_schema(), n_rows=203, n_workers=110, n_per_task=4, seed=seed)
 
 
-def emotion_like(seed: int = 13) -> CrowdDataset:
+def emotion_like(seed: int = BASE_SEED["emotion"]) -> CrowdDataset:
     return _build(emotion_schema(), n_rows=100, n_workers=45, n_per_task=10, seed=seed)
 
 

@@ -17,7 +17,7 @@ from ..baselines.glad import glad
 from ..baselines.gtm import gtm
 from ..baselines.voting import majority_vote, median_vote
 from ..core.em import tcrowd_em
-from ..crowd.schema import TableSchema, restrict_answers
+from ..crowd.schema import TableSchema, restrict_answers, validate_answers
 
 
 def tcrowd(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.DataFrame:
@@ -25,6 +25,7 @@ def tcrowd(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.DataFrame:
 
 
 def tcrowd_only_cate(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.DataFrame:
+    validate_answers(answers, schema)
     sub = restrict_answers(answers, schema, "cat")
     if sub.empty:
         return pd.DataFrame(columns=["row", "col", "truth"])
@@ -32,6 +33,7 @@ def tcrowd_only_cate(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.Dat
 
 
 def tcrowd_only_cont(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.DataFrame:
+    validate_answers(answers, schema)
     sub = restrict_answers(answers, schema, "cont")
     if sub.empty:
         return pd.DataFrame(columns=["row", "col", "truth"])

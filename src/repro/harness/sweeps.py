@@ -63,7 +63,7 @@ def _make_dataset(experiment: str, param: float, rep: int):
     if experiment == "difficulty":
         return datasets.synthetic_table(mean_difficulty=param, seed=seed)
     if experiment == "noise":
-        base = datasets.celebrity_like(seed=7 + 100 * rep)
+        base = datasets.celebrity_like(seed=datasets.BASE_SEED["celebrity"] + 100 * rep)
         return datasets.add_noise(base, gamma=param, seed=seed)
     raise ValueError(experiment)
 

@@ -3,7 +3,7 @@
 Computes #Rows, #Columns, #Cells and #Answers-per-task of the three
 generated datasets with Spark SQL over the canonical answers relation,
 and prints them next to the paper's numbers. The aggregation is verified
-against DuckDB in tests/test_table6.py.
+against DuckDB in tests/test_harness.py (`TestTable6`).
 """
 from __future__ import annotations
 
@@ -38,8 +38,7 @@ def build_table6(spark: SparkSession, seed_offset: int = 0) -> pd.DataFrame:
     """Generate the three datasets and compute their Table 6 statistics."""
     recs = []
     for name, gen in datasets.REAL_DATASETS.items():
-        base = {"celebrity": 7, "restaurant": 11, "emotion": 13}[name]
-        ds = gen(seed=base + seed_offset)
+        ds = gen(seed=datasets.BASE_SEED[name] + seed_offset)
         a_df, _ = ds.to_spark(spark)
         row = dataset_stats_spark(a_df).first().asDict()
         row["dataset"] = name.capitalize()

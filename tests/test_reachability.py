@@ -1,8 +1,9 @@
-"""Every public module-level name in ``src/repro`` is used by the system.
+"""Every module-level name in ``src/repro`` is used by the system.
 
-A function, class or constant defined at the top of a module must be
-referenced somewhere in ``src/``, ``jobs/`` or ``perfbench/`` outside its own
-definition; tests alone do not keep code alive. A reference is a name, an
+A function, class or constant defined at the top of a module, public or
+``_``-prefixed, must be referenced somewhere in ``src/``, ``jobs/`` or
+``perfbench/`` outside its own definition; tests alone do not keep code
+alive. A reference is a name, an
 attribute, an imported name, or a string that is exactly the name (the
 benchmark patches functions by attribute name).
 """
@@ -34,8 +35,9 @@ def _references(node: ast.AST) -> Counter:
     return out
 
 
-def _public_definitions(tree: ast.Module):
-    """``(name, node)`` of each public top-level function, class and constant."""
+def _definitions(tree: ast.Module, private: bool):
+    """``(name, node)`` of each top-level function, class and constant whose
+    name starts with ``_`` (``private``) or does not; dunders are skipped."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -44,22 +46,34 @@ def _public_definitions(tree: ast.Module):
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names if not name.startswith("_"))
+        yield from (
+            (name, node) for name in names
+            if name.startswith("_") == private and not name.startswith("__")
+        )
 
 
-def test_every_public_name_is_referenced():
+def _unreferenced(private: bool) -> dict:
     trees = {
         path: ast.parse(path.read_text())
         for d in SCANNED for path in sorted((ROOT / d).rglob("*.py"))
     }
     total = sum((_references(t) for t in trees.values()), Counter())
-    unused = {
+    return {
         name: path.relative_to(ROOT)
         for path, tree in trees.items() if path.is_relative_to(ROOT / "src" / "repro")
-        for name, node in _public_definitions(tree)
+        for name, node in _definitions(tree, private)
         if total[name] - _references(node)[name] <= 0
     }
+
+
+def test_every_public_name_is_referenced():
+    unused = _unreferenced(private=False)
     extra = [f"{path}: {name}" for name, path in unused.items() if name not in ALLOWED]
     assert not extra, "referenced nowhere in src/, jobs/ or perfbench/: " + ", ".join(extra)
     # An allowed name that gained a reference, or was deleted, leaves the list.
     assert set(ALLOWED) <= set(unused), set(ALLOWED) - set(unused)
+
+
+def test_every_private_name_is_referenced():
+    unused = [f"{path}: {name}" for name, path in _unreferenced(private=True).items()]
+    assert not unused, "referenced nowhere in src/, jobs/ or perfbench/: " + ", ".join(unused)
