@@ -43,7 +43,7 @@ from .correlation import (
     combined_conditional,
     compute_errors,
 )
-from .em import TCrowdResult, entropy_rows, row_sum
+from .em import EPS, TCrowdResult, entropy_rows, row_sum
 
 _EPS_Q = 1e-6
 
@@ -65,7 +65,7 @@ class AssignmentView:
     error_model: ErrorModel | None = None
     answered: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
-    eps: float = 1.0
+    eps: float = EPS
 
     def all_cells(self) -> list[tuple[int, int]]:
         return [

@@ -12,14 +12,15 @@ Implements the unified worker-quality EM:
 * M-step (Eq. 5): gradient ascent on ``Q(α, β, φ)`` in log-parameter space,
   with per-answer gradients scatter-added to their row/column/worker.
 
-Everything of Algorithm 1 but the E-step is shared with the Spark engine
-(`core/spark_em.py`): :func:`init_params` turns per-column answer moments
-(:func:`column_moments` here, one aggregation there) into the priors and the
-starting parameters, :func:`em_loop` alternates an engine's E-step with
-:func:`m_step` until no log-parameter moves more than ``tol``, and
-:func:`worker_quality` reports ``q_u``. The Spark E-step runs the same
-per-column kernels inside ``applyInPandas``, so the two engines agree to
-float tolerance (tested in tests/test_spark_em.py).
+All of Algorithm 1 is written once, here, and the Spark engine
+(`core/spark_em.py`) reuses it: :func:`init_params` turns per-column answer
+moments (:func:`column_moments` here, one aggregation there) into the
+priors and the starting parameters, :func:`run_estep` is the E-step (the
+Spark engine runs it on each column's answers inside ``applyInPandas``),
+:func:`em_loop` alternates an E-step with :func:`m_step` until no
+log-parameter moves more than ``tol``, and :func:`worker_quality` reports
+``q_u``. The two engines agree to float tolerance (tested in
+tests/test_spark_em.py).
 
 Identifiability: ``α β φ`` is invariant under rescaling, so after each
 M-step we renormalise ``mean(ln α) = mean(ln φ) = 0``, folding both scales
@@ -29,12 +30,9 @@ Work that depends only on the answers runs once per :func:`tcrowd_em` call.
 :class:`AnswerLayout` holds the id arrays, their split into continuous and
 categorical answers and, per column, the cell grouping (for a categorical
 column, also the grouping of answers into distinct ``(row, label)`` pairs),
-so each E-step runs only the array kernels. The
-E-steps inside the loop return just the M-step statistics; only the final
-one assembles the :class:`CatCells` record and the ``cont_cells`` frame.
-Every floating-point operation runs on the same values in the same order as
-the per-column kernels, so the results are bit-identical to theirs
-(DESIGN.md §4).
+so each E-step runs only the array kernels. The E-steps inside the loop
+return just the M-step statistics; only the final one assembles the
+:class:`CatCells` record and the ``cont_cells`` frame (DESIGN.md §4).
 """
 from __future__ import annotations
 
@@ -49,7 +47,8 @@ from ..crowd.stats import erf
 _Q_CLIP = 1e-9
 _LN_CLAMP = 14.0
 
-# Hyper-parameter defaults, shared by tcrowd_em, m_step and the Spark engine.
+# Hyper-parameter defaults, shared by tcrowd_em, m_step, the Spark engine and
+# the assignment view.
 EPS = 1.0  # ε of Eq. 2 (DESIGN.md §5)
 MAX_ITER = 40
 TOL = 1e-3  # EM stops when no log-parameter moves more than this
@@ -190,14 +189,16 @@ class TCrowdResult:
 
 
 # ---------------------------------------------------------------------------
-# E-step kernels (shared with the Spark engine).
+# E-step kernels.
 # ---------------------------------------------------------------------------
 
 def cont_posterior_arrays(
     inv: np.ndarray, values: np.ndarray, v: np.ndarray, mu0: float, var0: float
 ):
-    """Array kernel of :func:`estep_continuous_column`; ``inv`` maps each
-    answer to its cell. Returns ``(t_mu, t_phi, s_per_answer)``."""
+    """Gaussian posterior per cell of one continuous column with prior
+    ``N(mu0, var0)``; ``inv`` maps each answer to its cell. Returns
+    ``(t_mu, t_phi, s_per_answer)`` where ``s`` is the M-step sufficient
+    statistic ``(a - T_μ)² + T_φ``."""
     prec = 1.0 / v
     sum_prec = np.bincount(inv, weights=prec)
     sum_pv = np.bincount(inv, weights=prec * values)
@@ -205,18 +206,6 @@ def cont_posterior_arrays(
     t_mu = (sum_pv + mu0 / var0) * t_phi
     s = (values - t_mu[inv]) ** 2 + t_phi[inv]
     return t_mu, t_phi, s
-
-
-def estep_continuous_column(
-    rows: np.ndarray, values: np.ndarray, v: np.ndarray, mu0: float, var0: float
-):
-    """Gaussian posterior per cell of one continuous column.
-
-    Returns ``(cell_rows, t_mu, t_phi, s_per_answer)`` where ``s`` is the
-    M-step sufficient statistic ``(a - T_μ)² + T_φ``.
-    """
-    cell_rows, inv = np.unique(rows, return_inverse=True)
-    return (cell_rows, *cont_posterior_arrays(inv, values, v, mu0, var0))
 
 
 @dataclass(frozen=True)
@@ -233,7 +222,7 @@ class CatGroups:
 
 
 def cat_groups(rows: np.ndarray, values: np.ndarray, n_labels: int) -> CatGroups:
-    """Grouping step of :func:`estep_categorical_column`."""
+    """The :class:`CatGroups` of one categorical column's answers."""
     labels = values.astype(np.int64)
     key = rows.astype(np.int64) * n_labels + labels
     pair_key, pair_inv = np.unique(key, return_inverse=True)
@@ -263,11 +252,12 @@ def label_posteriors(groups: CatGroups, delta: np.ndarray, n_un: np.ndarray):
 
 
 def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: float):
-    """Array kernel of :func:`estep_categorical_column`.
+    """Label posterior per cell of one categorical column.
 
     Returns ``(pair_p, p0, w_per_answer, q_per_answer)``: the posterior of
-    each answered ``(row, label)`` pair and, per cell, the probability
-    ``p0`` of each of its unanswered labels.
+    each answered ``(row, label)`` pair, per cell the probability ``p0`` of
+    each of its unanswered labels, and per answer the posterior probability
+    ``w`` that it equals the truth (the M-step sufficient statistic).
     """
     t = eps / np.sqrt(2.0 * v)
     q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
@@ -275,21 +265,6 @@ def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: f
     pair_p, p0 = label_posteriors(groups, delta, n_labels - groups.n_answered)
     w = pair_p[groups.pair_inv]  # per-answer posterior prob that its label is truth
     return pair_p, p0, w, q
-
-
-def estep_categorical_column(
-    rows: np.ndarray, values: np.ndarray, v: np.ndarray, n_labels: int, eps: float
-):
-    """Label posterior per cell of one categorical column.
-
-    Returns ``(cells, w_per_answer, q_per_answer)`` where ``cells`` is the
-    :class:`CatCells` of the column's cells (``cols`` 0: the column index is
-    not known here) and ``w`` is the posterior probability that the answer
-    equals the truth (the M-step sufficient statistic).
-    """
-    groups = cat_groups(rows, values, n_labels)
-    pair_p, p0, w, q = cat_posterior_arrays(groups, v, n_labels, eps)
-    return CatCells.build([(0, n_labels, groups, pair_p, p0)]), w, q
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +277,10 @@ _SPLIT_KEYS = ("row", "col", "worker", "s", "w", "n_labels")
 def split_by_kind(stats: dict, keys: tuple = _SPLIT_KEYS) -> dict:
     """The per-answer statistics :func:`q_objective` reads, split into the
     continuous (``"cont"``) and categorical (``"cat"``) answers; ``idx``
-    holds their positions among all answers. :func:`run_estep` passes the
-    split in ``stats`` under ``"by_kind"``, slicing ``s`` and ``w`` along the
-    id split its :class:`AnswerLayout` made once; for statistics without it
-    :func:`m_step` splits once per call."""
+    holds their positions among all answers. :func:`m_step` reads the split
+    from ``stats["by_kind"]``: :func:`run_estep` slices ``s`` and ``w`` along
+    the id split its :class:`AnswerLayout` made once, and the Spark engine
+    splits the statistics it collects once per iteration."""
     out = {}
     for kind, sel in (("cont", ~stats["is_cat"]), ("cat", stats["is_cat"])):
         idx = np.flatnonzero(sel)
@@ -333,12 +308,10 @@ def q_objective(
     returned gradient is per-answer only; the α-penalty gradient is applied
     in :func:`m_step`.
 
-    ``stats["by_kind"]`` is :func:`split_by_kind` of ``stats``, computed here
-    when absent. The per-answer terms are scattered back in answer order,
-    so sums over them add in the same order either way."""
-    by_kind = stats.get("by_kind")
-    if by_kind is None:
-        by_kind = split_by_kind(stats)
+    ``stats["by_kind"]`` is :func:`split_by_kind` of ``stats``. The
+    per-answer terms are scattered back in answer order, so sums over them
+    add in answer order."""
+    by_kind = stats["by_kind"]
     n = len(stats["row"])
     g = np.empty(n)
     qv = np.zeros(n)
@@ -389,8 +362,6 @@ def m_step(
     st = state.copy()
     n, m, u_n = len(st.ln_alpha), len(st.ln_beta), len(st.ln_phi)
     r, c, u = stats["row"], stats["col"], stats["worker"]
-    if "by_kind" not in stats:
-        stats = {**stats, "by_kind": split_by_kind(stats)}
     # Normalise by answer counts so the step size is scale-free.
     na = np.maximum(np.bincount(r, minlength=n), 1)
     nb = np.maximum(np.bincount(c, minlength=m), 1)
@@ -496,7 +467,7 @@ class AnswerLayout:
     """Everything the E-step needs that depends only on the answers: the id
     arrays, the per-answer kind, the ids split by kind, and per answered
     column its answers' positions and cell grouping. Built once per
-    :func:`tcrowd_em` call."""
+    :func:`tcrowd_em` call, and by the Spark E-step once per column."""
 
     row: np.ndarray
     col: np.ndarray

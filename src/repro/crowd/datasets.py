@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 
 from .schema import CATEGORICAL, CONTINUOUS, ColumnSpec, CrowdDataset, TableSchema
-from .workers import WorkerPool, default_beta, make_pool, simulate_answers
+from .workers import default_beta, make_pool, simulate_answers
 
 
 def _uniform_truth(schema: TableSchema, n_rows: int, g: np.random.Generator) -> pd.DataFrame:

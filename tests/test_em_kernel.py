@@ -14,9 +14,10 @@ from repro.core.em import (
     AnswerLayout,
     CatCells,
     EMState,
+    cat_groups,
+    cat_posterior_arrays,
     column_moments,
-    estep_categorical_column,
-    estep_continuous_column,
+    cont_posterior_arrays,
     init_params,
     m_step,
     q_objective,
@@ -37,6 +38,20 @@ from repro.crowd.schema import (
 from repro.crowd.stats import erf
 
 
+def _estep_continuous(rows, values, v, mu0, var0):
+    """``(cell_rows, t_mu, t_phi, s_per_answer)`` of one continuous column."""
+    cell_rows, inv = np.unique(rows, return_inverse=True)
+    return (cell_rows, *cont_posterior_arrays(inv, values, v, mu0, var0))
+
+
+def _estep_categorical(rows, values, v, n_labels, eps):
+    """``(cells, w_per_answer, q_per_answer)`` of one categorical column;
+    the :class:`CatCells` record gives its cells column 0."""
+    groups = cat_groups(rows, values, n_labels)
+    pair_p, p0, w, q = cat_posterior_arrays(groups, v, n_labels, eps)
+    return CatCells.build([(0, n_labels, groups, pair_p, p0)]), w, q
+
+
 class TestEstepContinuous:
     def test_single_answer_posterior(self):
         # One answer a with variance v, prior N(mu0, var0):
@@ -45,7 +60,7 @@ class TestEstepContinuous:
         values = np.array([4.0])
         v = np.array([2.0])
         mu0, var0 = 0.0, 8.0
-        cell_rows, t_mu, t_phi, s = estep_continuous_column(rows, values, v, mu0, var0)
+        cell_rows, t_mu, t_phi, s = _estep_continuous(rows, values, v, mu0, var0)
         want_phi = 1.0 / (1.0 / 2.0 + 1.0 / 8.0)
         want_mu = (4.0 / 2.0 + 0.0 / 8.0) * want_phi
         assert t_phi[0] == pytest.approx(want_phi)
@@ -56,7 +71,7 @@ class TestEstepContinuous:
         rows = np.array([0, 0])
         values = np.array([2.0, 6.0])
         v = np.array([1.0, 1.0])
-        _, t_mu, _, _ = estep_continuous_column(rows, values, v, 4.0, 1e9)
+        _, t_mu, _, _ = _estep_continuous(rows, values, v, 4.0, 1e9)
         assert t_mu[0] == pytest.approx(4.0, abs=1e-6)
 
     def test_weighting_by_variance(self):
@@ -64,13 +79,13 @@ class TestEstepContinuous:
         rows = np.array([0, 0])
         values = np.array([0.0, 10.0])
         v = np.array([0.1, 10.0])
-        _, t_mu, _, _ = estep_continuous_column(rows, values, v, 5.0, 1e9)
+        _, t_mu, _, _ = _estep_continuous(rows, values, v, 5.0, 1e9)
         assert t_mu[0] < 1.0
 
     def test_posterior_variance_shrinks_with_answers(self):
         v = np.array([1.0, 1.0, 1.0])
-        one = estep_continuous_column(np.array([0]), np.array([1.0]), v[:1], 0, 100)
-        three = estep_continuous_column(
+        one = _estep_continuous(np.array([0]), np.array([1.0]), v[:1], 0, 100)
+        three = _estep_continuous(
             np.zeros(3, dtype=int), np.array([1.0, 2.0, 3.0]), v, 0, 100
         )
         assert three[2][0] < one[2][0]
@@ -79,7 +94,7 @@ class TestEstepContinuous:
         rows = np.array([0, 0, 3, 3])
         values = np.array([1.0, 3.0, 10.0, 12.0])
         v = np.ones(4)
-        cell_rows, t_mu, _, _ = estep_continuous_column(rows, values, v, 0.0, 1e9)
+        cell_rows, t_mu, _, _ = _estep_continuous(rows, values, v, 0.0, 1e9)
         assert cell_rows.tolist() == [0, 3]
         assert t_mu[0] == pytest.approx(2.0, abs=1e-6)
         assert t_mu[1] == pytest.approx(11.0, abs=1e-6)
@@ -90,7 +105,7 @@ class TestEstepCategorical:
         rows = np.zeros(3, dtype=int)
         values = np.full(3, 2.0)
         v = np.ones(3)
-        cells, w, q = estep_categorical_column(rows, values, v, 5, eps=1.0)
+        cells, w, q = _estep_categorical(rows, values, v, 5, eps=1.0)
         assert cells.truth().tolist() == [2.0]
         assert w.min() > 0.9
 
@@ -98,7 +113,7 @@ class TestEstepCategorical:
         rows = np.array([0, 0, 0])
         values = np.array([1.0, 2.0, 1.0])
         v = np.array([0.5, 1.0, 2.0])
-        cells, _, _ = estep_categorical_column(rows, values, v, 6, eps=1.0)
+        cells, _, _ = _estep_categorical(rows, values, v, 6, eps=1.0)
         total = cells.probs[0].sum() + cells.n_un[0] * cells.p0[0]
         assert total == pytest.approx(1.0)
 
@@ -106,12 +121,12 @@ class TestEstepCategorical:
         rows = np.array([0, 0])
         values = np.array([1.0, 3.0])
         v = np.array([0.05, 5.0])  # first worker far more reliable
-        cells, _, _ = estep_categorical_column(rows, values, v, 4, eps=1.0)
+        cells, _, _ = _estep_categorical(rows, values, v, 4, eps=1.0)
         assert cells.truth().tolist() == [1.0]
 
     def test_truth_is_an_answered_label_for_worse_than_random_worker(self):
         # q = erf(1/√200) ≈ 0.08 < 1/4: each unanswered label is more probable.
-        cells, _, _ = estep_categorical_column(
+        cells, _, _ = _estep_categorical(
             np.zeros(1, dtype=int), np.array([2.0]), np.array([100.0]), 4, eps=1.0
         )
         assert cells.probs[0, 0] < cells.p0[0]
@@ -122,7 +137,7 @@ class TestEstepCategorical:
         # P(T=1) ∝ q1 q2 ; P(T=0) ∝ (1-q1)(1-q2).
         v = np.array([0.8, 1.5])
         q1, q2 = (erf(1 / math.sqrt(2 * 0.8)), erf(1 / math.sqrt(2 * 1.5)))
-        cells, _, _ = estep_categorical_column(
+        cells, _, _ = _estep_categorical(
             np.zeros(2, dtype=int), np.ones(2), v, 2, eps=1.0
         )
         want = (q1 * q2) / (q1 * q2 + (1 - q1) * (1 - q2))
@@ -131,7 +146,7 @@ class TestEstepCategorical:
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_unanswered_mass_counts(self):
-        cells, _, _ = estep_categorical_column(
+        cells, _, _ = _estep_categorical(
             np.zeros(2, dtype=int), np.array([0.0, 1.0]), np.ones(2), 10, eps=1.0
         )
         assert cells.n_un.tolist() == [8]
@@ -140,7 +155,7 @@ class TestEstepCategorical:
     def test_per_answer_w_is_own_label_posterior(self):
         rows = np.array([0, 0])
         values = np.array([0.0, 1.0])
-        cells, w, _ = estep_categorical_column(rows, values, np.ones(2), 3, eps=1.0)
+        cells, w, _ = _estep_categorical(rows, values, np.ones(2), 3, eps=1.0)
         for lab, expect in zip(cells.labels[0], cells.probs[0]):
             assert w[values == lab][0] == pytest.approx(expect)
 
@@ -180,6 +195,7 @@ class TestMStep:
             "w": g.random(n),
             "n_labels": np.full(n, 4.0),
         }
+        stats["by_kind"] = split_by_kind(stats)
         state = EMState(
             g.normal(0, 0.2, 5), g.normal(0, 0.2, 3), g.normal(0, 0.2, 7)
         )
@@ -452,7 +468,7 @@ def _reference_estep(answers, schema, state, priors, eps):
             is_cat[m], n_labels[m] = True, cspec.n_labels
             cat_cells.update({(row, j): p for row, p in posts.items()})
         else:
-            rows, t_mu, t_phi, s[m] = estep_continuous_column(r[m], val[m], v_all[m], *priors[j])
+            rows, t_mu, t_phi, s[m] = _estep_continuous(r[m], val[m], v_all[m], *priors[j])
             cont.append(pd.DataFrame({"row": rows, "col": j, "t_mu": t_mu, "t_phi": t_phi}))
     stats = dict(row=r, col=c, worker=u, is_cat=is_cat, s=s, w=w, n_labels=n_labels)
     return pd.concat(cont, ignore_index=True), cat_cells, stats
@@ -554,12 +570,12 @@ def _reference_q_objective(stats, state, eps, reg_alpha, reg_phi):
 class TestQObjectiveSplit:
     @pytest.mark.parametrize("seed", range(4))
     def test_same_with_and_without_pre_split(self, seed):
+        """Q on the split statistics equals the reference, which splits nothing."""
         stats, state = TestMStep()._stats_and_state(seed=seed, n=300)
         want_q, want_g = _reference_q_objective(stats, state, 1.0, 2.0, 0.5)
-        for given_stats in (stats, {**stats, "by_kind": split_by_kind(stats)}):
-            q, g = q_objective(given_stats, state, 1.0, 2.0, 0.5)
-            assert q == want_q
-            assert np.array_equal(g, want_g)
+        q, g = q_objective(stats, state, 1.0, 2.0, 0.5)
+        assert q == want_q
+        assert np.array_equal(g, want_g)
 
 
 class TestCatCellsRecord:

@@ -6,6 +6,10 @@ A function, class or constant defined at the top of a module, public or
 alive. A reference is a name, an
 attribute, an imported name, or a string that is exactly the name (the
 benchmark patches functions by attribute name).
+
+An imported name counts as a reference, so every name a ``src/repro``
+module imports must also be used in that module: otherwise a leftover
+import would keep a dead function alive.
 """
 import ast
 from collections import Counter
@@ -77,3 +81,20 @@ def test_every_public_name_is_referenced():
 def test_every_private_name_is_referenced():
     unused = [f"{path}: {name}" for name, path in _unreferenced(private=True).items()]
     assert not unused, "referenced nowhere in src/, jobs/ or perfbench/: " + ", ".join(unused)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -6,9 +6,16 @@ import pytest
 
 import pandas as pd
 
-from repro.core.em import estep_categorical_column, tcrowd_em
-from repro.core.spark_em import _estep_column_kernel, spark_estep, tcrowd_em_spark
+from repro.core.em import AnswerLayout, EMState, result_truth, run_estep, tcrowd_em
+from repro.core.spark_em import _STATS, _estep_kernel, spark_estep, tcrowd_em_spark
 from repro.crowd.metrics import error_rate, mnad
+from repro.crowd.schema import (
+    CATEGORICAL,
+    CONTINUOUS,
+    ColumnSpec,
+    TableSchema,
+    restrict_answers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,54 +77,87 @@ class TestSparkVsNumpy:
         """A continuous column with one answer starts both engines at the
         same ln β (the shared initialisation)."""
         a = tiny_ds.answers
-        cut = a.drop(a.index[a["col"] == 3][1:])
-        answers_df, _ = replace(tiny_ds, answers=cut).to_spark(spark)
-        sp = tcrowd_em_spark(answers_df, tiny_ds.schema, max_iter=12)
-        ref = tcrowd_em(cut, tiny_ds.schema, max_iter=12)
-        assert sp.n_iters == ref.n_iters
-        sp_truth = sp.truth.toPandas()
-        np.testing.assert_array_equal(sp_truth[["row", "col"]], ref.truth[["row", "col"]])
-        np.testing.assert_allclose(
-            sp_truth["truth"].to_numpy(), ref.truth["truth"].to_numpy(), rtol=0, atol=1e-6
+        _assert_engines_agree(spark, tiny_ds, a.drop(a.index[a["col"] == 3][1:]))
+
+    @pytest.mark.parametrize("kind", ["cat", "cont"])
+    def test_one_kind_table_agrees(self, spark, tiny_ds, kind):
+        """A table with no answers of the other kind (an all-categorical or
+        all-continuous E-step)."""
+        _assert_engines_agree(
+            spark, tiny_ds, restrict_answers(tiny_ds.answers, tiny_ds.schema, kind)
         )
-        for name in ("ln_alpha", "ln_beta", "ln_phi"):
-            np.testing.assert_allclose(
-                getattr(sp.state, name), getattr(ref.state, name), rtol=0, atol=1e-6
-            )
+
+
+def _assert_engines_agree(spark, ds, answers):
+    """Both engines on ``answers`` to ``ds``'s table: the same iteration
+    count and cells, and truth and state within 1e-6."""
+    answers_df, _ = replace(ds, answers=answers).to_spark(spark)
+    sp = tcrowd_em_spark(answers_df, ds.schema, max_iter=12)
+    ref = tcrowd_em(answers, ds.schema, max_iter=12)
+    assert sp.n_iters == ref.n_iters
+    sp_truth = sp.truth.toPandas()
+    np.testing.assert_array_equal(sp_truth[["row", "col"]], ref.truth[["row", "col"]])
+    np.testing.assert_allclose(
+        sp_truth["truth"].to_numpy(), ref.truth["truth"].to_numpy(), rtol=0, atol=1e-6
+    )
+    for name in ("ln_alpha", "ln_beta", "ln_phi"):
+        np.testing.assert_allclose(
+            getattr(sp.state, name), getattr(ref.state, name), rtol=0, atol=1e-6
+        )
 
 
 class TestEstepKernel:
-    """The ``applyInPandas`` kernel, called on a pandas frame directly."""
+    """The ``applyInPandas`` kernel, called on a pandas group directly."""
 
-    def _group(self, rows, values, v, n_labels):
-        n = len(rows)
-        return pd.DataFrame({
-            "row": rows, "col": 0, "worker": np.arange(n), "value": values,
-            "ln_alpha": np.log(v), "ln_beta": 0.0, "ln_phi": 0.0, "is_cat": True,
-            "n_labels": float(n_labels), "mu0": 0.0, "var0": 1.0,
-        })
+    SCHEMA = TableSchema(columns=(
+        ColumnSpec("c", CATEGORICAL, n_labels=5),
+        ColumnSpec("x", CONTINUOUS, domain=(0.0, 10.0)),
+    ))
+
+    def _check(self, group, v, seed):
+        """The kernel on the shuffled ``group`` gives what :func:`run_estep`
+        gives on the group sorted by ``(row, worker)``. Each answer has its
+        own worker, whose ``φ`` is the answer's variance ``v``."""
+        state = EMState(np.zeros(100), np.zeros(2), np.log(v))
+        priors = {1: (5.0, 4.0)}
+        shuffled = group.sample(frac=1.0, random_state=seed)
+        layout = AnswerLayout.build(
+            group.sort_values(["row", "worker"]).reset_index(drop=True), self.SCHEMA
+        )
+        cont_cells, cat_cells, want = run_estep(layout, state, priors, 1.0)
+        out = _estep_kernel(state, self.SCHEMA, priors, 1.0, False)(shuffled)
+        assert list(out.columns) == list(_STATS)
+        for k in _STATS:
+            assert out[k].dtype == want[k].dtype, k
+            assert out[k].tolist() == want[k].tolist(), k
+        truth = _estep_kernel(state, self.SCHEMA, priors, 1.0, True)(shuffled)
+        pd.testing.assert_frame_equal(
+            truth, result_truth(cont_cells, cat_cells), check_exact=True
+        )
+        return truth
 
     @pytest.mark.parametrize("seed", range(5))
     def test_categorical_cell_columns_match_posteriors(self, seed):
         g = np.random.default_rng(seed)
-        n, n_labels = 60, 5
+        n = 60
         rows = g.integers(0, 15, n)
         values = g.integers(0, 3, n).astype(np.float64)
         v = g.choice([0.5, 1.0, 2.0], n)  # repeated variances make exact ties
         # A cell of two equally trusted answers: a tie the lower label wins.
         rows[:2], values[:2], v[:2] = 99, [3.0, 1.0], 1.0
-        out = _estep_column_kernel(1.0)(self._group(rows, values, v, n_labels))
-        order = np.lexsort((np.arange(n), rows))  # the kernel's (row, worker) sort
-        cells, w, _ = estep_categorical_column(rows[order], values[order], v[order],
-                                               n_labels, 1.0)
-        at = {r: i for i, r in enumerate(cells.rows.tolist())}
-        t_hat, ent = cells.truth(), cells.entropy()
-        assert out["t_hat"].tolist() == [t_hat[at[r]] for r in rows[order]]
-        assert t_hat[at[99]] == 1.0
-        np.testing.assert_allclose(
-            out["t_entropy"], [ent[at[r]] for r in rows[order]], rtol=0, atol=1e-12
-        )
-        assert out["w"].tolist() == w.tolist()
+        group = pd.DataFrame({"worker": np.arange(n), "row": rows, "col": 0, "value": values})
+        truth = self._check(group, v, seed)
+        assert truth.loc[truth["row"] == 99, "truth"].tolist() == [1.0]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_continuous_group_matches_run_estep(self, seed):
+        g = np.random.default_rng(seed)
+        n = 40
+        group = pd.DataFrame({
+            "worker": np.arange(n), "row": g.integers(0, 12, n), "col": 1,
+            "value": g.random(n) * 10.0,
+        })
+        self._check(group, g.choice([0.5, 1.0, 2.0], n), seed)
 
 
 class TestSparkDataflow:
@@ -132,10 +172,10 @@ class TestSparkDataflow:
         assert out.count() == len(tiny_ds.answers)
 
     def test_cells_relation_consistent(self, spark_result, tiny_ds):
-        cells = (
-            spark_result.cells.select("row", "col", "t_hat").distinct().toPandas()
-        )
-        assert len(cells) == tiny_ds.n_cells
+        """The truth relation has exactly one row per answered cell."""
+        truth = spark_result.truth.toPandas()
+        assert len(truth) == tiny_ds.n_cells
+        assert not truth.duplicated(["row", "col"]).any()
 
     def test_quality_in_unit_interval(self, spark_result):
         assert ((spark_result.worker_quality > 0) & (spark_result.worker_quality < 1)).all()
