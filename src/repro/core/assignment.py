@@ -65,7 +65,6 @@ class AssignmentView:
     error_model: ErrorModel | None = None
     answered: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
-    eps: float = EPS
 
     def all_cells(self) -> list[tuple[int, int]]:
         return [
@@ -221,7 +220,7 @@ class InherentIGPolicy:
                      p0=c.p0, n_labels=c.n_labels)
         v = _answer_var(res, worker, cont)
         ig = dict(zip(cont.keys, _cont_ig(cont.data["t_phi"], v).tolist()))
-        q = erf(view.eps / np.sqrt(2.0 * _answer_var(res, worker, cat)))
+        q = erf(EPS / np.sqrt(2.0 * _answer_var(res, worker, cat)))
         ig.update(zip(cat.keys, cat_ig(**cat.data, q=q).tolist()))
         return ig, cat, cont
 

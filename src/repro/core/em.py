@@ -18,7 +18,7 @@ moments (:func:`column_moments` here, one aggregation there) into the
 priors and the starting parameters, :func:`run_estep` is the E-step (the
 Spark engine runs it on each column's answers inside ``applyInPandas``),
 :func:`em_loop` alternates an E-step with :func:`m_step` until no
-log-parameter moves more than ``tol``, and :func:`worker_quality` reports
+log-parameter moves more than ``TOL``, and :func:`worker_quality` reports
 ``q_u``. The two engines agree to float tolerance (tested in
 tests/test_spark_em.py).
 
@@ -591,12 +591,7 @@ def tcrowd_em(
     *,
     n_rows: int | None = None,
     n_workers: int | None = None,
-    eps: float = EPS,
     max_iter: int = MAX_ITER,
-    tol: float = TOL,
-    grad_iters: int = GRAD_ITERS,
-    reg_alpha: float = REG_ALPHA,
-    reg_phi: float = REG_PHI,
     warm_state: EMState | None = None,
 ) -> TCrowdResult:
     """Full T-Crowd truth inference (Algorithm 1).
@@ -622,20 +617,18 @@ def tcrowd_em(
     layout = AnswerLayout.build(answers, schema)
 
     def step(st: EMState):
-        _, _, stats = run_estep(layout, st, priors, eps, posteriors=False)
-        return m_step(
-            stats, st, eps, grad_iters=grad_iters, reg_alpha=reg_alpha, reg_phi=reg_phi,
-        )
+        _, _, stats = run_estep(layout, st, priors, EPS, posteriors=False)
+        return m_step(stats, st, EPS)
 
-    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, tol)
+    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, TOL)
     # Final E-step with the converged parameters.
-    cont_cells, cat_cells, _ = run_estep(layout, state, priors, eps)
+    cont_cells, cat_cells, _ = run_estep(layout, state, priors, EPS)
     return TCrowdResult(
         state=state,
         truth=result_truth(cont_cells, cat_cells),
         cont_cells=cont_cells,
         cat_cells=cat_cells,
-        worker_quality=worker_quality(state, eps),
+        worker_quality=worker_quality(state, EPS),
         n_iters=n_iters,
         converged=converged,
         q_trace=q_trace,

@@ -35,10 +35,7 @@ from pyspark.sql import functions as F
 from ..crowd.schema import TRUTH_SPARK_SCHEMA, TableSchema
 from .em import (
     EPS,
-    GRAD_ITERS,
     MAX_ITER,
-    REG_ALPHA,
-    REG_PHI,
     TOL,
     AnswerLayout,
     EMState,
@@ -108,12 +105,7 @@ def tcrowd_em_spark(
     answers: DataFrame,
     schema: TableSchema,
     *,
-    eps: float = EPS,
     max_iter: int = MAX_ITER,
-    tol: float = TOL,
-    grad_iters: int = GRAD_ITERS,
-    reg_alpha: float = REG_ALPHA,
-    reg_phi: float = REG_PHI,
 ) -> SparkEMResult:
     """Full T-Crowd EM with the E-step distributed via Spark (Algorithm 1)."""
     agg = (
@@ -131,19 +123,17 @@ def tcrowd_em_spark(
     )
 
     def step(st: EMState):
-        pdf = spark_estep(answers, st, schema, priors, eps).toPandas()
+        pdf = spark_estep(answers, st, schema, priors, EPS).toPandas()
         stats = {k: pdf[k].to_numpy(dtype) for k, (dtype, _) in _STATS.items()}
         stats["by_kind"] = split_by_kind(stats)
-        return m_step(
-            stats, st, eps, grad_iters=grad_iters, reg_alpha=reg_alpha, reg_phi=reg_phi,
-        )
+        return m_step(stats, st, EPS)
 
-    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, tol)
-    truth = spark_estep(answers, state, schema, priors, eps, posteriors=True)
+    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, TOL)
+    truth = spark_estep(answers, state, schema, priors, EPS, posteriors=True)
     return SparkEMResult(
         truth=truth.orderBy("row", "col"),
         state=state,
-        worker_quality=worker_quality(state, eps),
+        worker_quality=worker_quality(state, EPS),
         n_iters=n_iters,
         converged=converged,
         q_trace=q_trace,

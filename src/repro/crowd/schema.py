@@ -102,13 +102,6 @@ class TableSchema:
     def column(self, j: int) -> ColumnSpec:
         return self.columns[j]
 
-    def restrict(self, kind: str) -> "TableSchema":
-        """Schema over only the columns of ``kind`` (original indices are NOT
-        preserved — use :func:`restrict_answers` which re-filters relations
-        by original column index instead, keeping indices stable)."""
-        cols = tuple(c for c in self.columns if c.kind == kind)
-        return TableSchema(columns=cols, name=f"{self.name}:{kind}")
-
 
 def restrict_answers(
     answers: pd.DataFrame, schema: TableSchema, kind: str
@@ -185,10 +178,6 @@ class CrowdDataset:
     @property
     def n_workers(self) -> int:
         return int(self.answers["worker"].nunique())
-
-    @property
-    def answers_per_task(self) -> float:
-        return len(self.answers) / self.n_cells
 
     def to_spark(self, spark):
         """(answers_df, truth_df) as Spark DataFrames with canonical schemas."""

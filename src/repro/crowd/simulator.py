@@ -103,7 +103,7 @@ class HiddenWorld:
         )
 
 
-def world_from_dataset(ds: CrowdDataset, seed: int = 0, **kw) -> HiddenWorld:
+def world_from_dataset(ds: CrowdDataset, seed: int = 0) -> HiddenWorld:
     """Re-create the hidden world that generated a :class:`CrowdDataset`."""
     grid = (
         ds.truth.pivot(index="row", columns="col", values="truth")
@@ -118,7 +118,7 @@ def world_from_dataset(ds: CrowdDataset, seed: int = 0, **kw) -> HiddenWorld:
     alpha = ds.row_alpha.to_numpy() if ds.row_alpha is not None else np.ones(ds.n_rows)
     return HiddenWorld(
         schema=ds.schema, truth_grid=grid, pool=pool, alpha=alpha, beta=beta,
-        seed=seed, **kw,
+        seed=seed,
     )
 
 
@@ -202,7 +202,7 @@ def run_simulation(
 
     def checkpoint_metrics(df: pd.DataFrame) -> tuple[float, float]:
         if inference == "tcrowd":
-            est = res.truth if res is not None else infer(df, None, True).truth
+            est = res.truth
         elif inference == "mv":
             est = mv_median(df, schema)
         elif inference == "crh":
@@ -221,7 +221,7 @@ def run_simulation(
         df = answers_df()
         if needs_model:
             if step % config.full_em_every == 0:
-                res = infer(df, res.state if res else None, True)
+                res = infer(df, res.state, True)
                 err_model = fit_error_model(df, res.truth, schema)
             else:
                 res = infer(df, res.state, False)
@@ -244,7 +244,7 @@ def run_simulation(
         while next_cp < len(config.checkpoints) and avg >= config.checkpoints[next_cp]:
             cur = answers_df()
             if needs_model:
-                res = infer(cur, res.state if res else None, True)
+                res = infer(cur, res.state, True)
             er, mn = checkpoint_metrics(cur)
             recs.append(
                 {

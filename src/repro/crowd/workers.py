@@ -46,10 +46,6 @@ class WorkerPool:
     def n_workers(self) -> int:
         return len(self.phi)
 
-    def quality(self, alpha_beta: float = 1.0) -> np.ndarray:
-        """q_u = erf(ε / sqrt(2 α β φ_u)) — Eq. 2 at reference difficulty."""
-        return erf(EPSILON / np.sqrt(2.0 * alpha_beta * self.phi))
-
 
 def make_pool(
     n_workers: int,
@@ -97,18 +93,14 @@ def simulate_answers(
     corr_shift_std: float = 0.6,
     alpha_sigma: float = 0.5,
     participation_skew: float = 0.8,
-    row_worker_pairs: list[tuple[int, int]] | None = None,
 ) -> CrowdDataset:
     """Draw the full answer relation from the generative model.
 
     ``participation_skew`` makes worker participation long-tail (a few
     workers answer many HITs, most answer few — the regime CATD targets and
     the paper's "long-tail distribution" of crowdsourced answers): each
-    row's workers are drawn with probability ∝ rank^(-skew). 0 = uniform.
-
-    ``row_worker_pairs`` overrides the default assignment (each row answered
-    by ``n_per_task`` distinct random workers); the online simulator uses it
-    to collect answers incrementally.
+    row's ``n_per_task`` distinct workers are drawn with probability
+    ∝ rank^(-skew). 0 = uniform.
     """
     g = np.random.default_rng(seed)
     n_rows = int(truth["row"].max()) + 1
@@ -122,21 +114,18 @@ def simulate_answers(
         .to_numpy()
     )
 
-    if row_worker_pairs is None:
-        ranks = np.arange(1, pool.n_workers + 1, dtype=np.float64)
-        pw = ranks ** (-participation_skew)
-        pw /= pw.sum()
-        pairs = []
-        for i in range(n_rows):
-            ws = g.choice(
-                pool.n_workers,
-                size=min(n_per_task, pool.n_workers),
-                replace=False,
-                p=pw,
-            )
-            pairs.extend((i, int(w)) for w in ws)
-    else:
-        pairs = row_worker_pairs
+    ranks = np.arange(1, pool.n_workers + 1, dtype=np.float64)
+    pw = ranks ** (-participation_skew)
+    pw /= pw.sum()
+    pairs = []
+    for i in range(n_rows):
+        ws = g.choice(
+            pool.n_workers,
+            size=min(n_per_task, pool.n_workers),
+            replace=False,
+            p=pw,
+        )
+        pairs.extend((i, int(w)) for w in ws)
 
     rows, workers = (
         np.array([p[0] for p in pairs], dtype=np.int64),

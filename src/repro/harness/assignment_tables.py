@@ -8,14 +8,13 @@
   Structure-Aware IG, all paired with T-Crowd inference, on Restaurant.
 
 Each run gets a *fresh* hidden world re-created from the same generator
-seed, so policies face identical truth/worker populations. Independent
-(system × replicate) runs fan out over Spark via ``applyInPandas``.
+seed, so policies face identical truth/worker populations. Each
+(system, replicate) run is one task of :func:`.grid.fan_out`.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
 from ..core.assignment import (
     AskItPolicy,
@@ -28,6 +27,7 @@ from ..core.assignment import (
 )
 from ..crowd import datasets
 from ..crowd.simulator import SimConfig, run_simulation, world_from_dataset
+from .grid import fan_out
 
 #: system name -> (policy factory, inference method)
 END_TO_END_SYSTEMS = {
@@ -45,40 +45,6 @@ HEURISTICS = {
     "Inherent IG": lambda seed: InherentIGPolicy(),
     "Structure-Aware IG": lambda seed: StructureAwarePolicy(),
 }
-
-_RESULT_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType()),
-        T.StructField("system", T.StringType()),
-        T.StructField("seed", T.LongType()),
-        T.StructField("avg_answers", T.DoubleType()),
-        T.StructField("error_rate", T.DoubleType()),
-        T.StructField("mnad", T.DoubleType()),
-    ]
-)
-
-
-def _run_one(
-    dataset: str,
-    system: str,
-    seed: int,
-    *,
-    heuristic_mode: bool,
-    config: SimConfig,
-) -> pd.DataFrame:
-    ds = datasets.REAL_DATASETS[dataset](seed=datasets.BASE_SEED[dataset] + 100 * seed)
-    world = world_from_dataset(ds, seed=1000 + seed)
-    if heuristic_mode:
-        policy, inference = HEURISTICS[system](seed), "tcrowd"
-    else:
-        factory, inference = END_TO_END_SYSTEMS[system]
-        policy = factory(seed)
-    out = run_simulation(world, policy, inference, config)
-    out.insert(0, "seed", seed)
-    out.insert(0, "system", system)
-    out.insert(0, "dataset", dataset)
-    return out[["dataset", "system", "seed", "avg_answers", "error_rate", "mnad"]]
-
 
 def build_assignment_table(
     spark: SparkSession,
@@ -100,27 +66,19 @@ def build_assignment_table(
         ]
     )
 
-    def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _run_one(
-            pdf["dataset"].iloc[0],
-            pdf["system"].iloc[0],
-            int(pdf["seed"].iloc[0]),
-            heuristic_mode=heuristic_mode,
-            config=config,
-        )
+    def run(spec: dict) -> pd.DataFrame:
+        seed = spec["seed"]
+        ds = datasets.REAL_DATASETS[dataset](seed=datasets.BASE_SEED[dataset] + 100 * seed)
+        if heuristic_mode:
+            policy, inference = HEURISTICS[spec["system"]](seed), "tcrowd"
+        else:
+            factory, inference = END_TO_END_SYSTEMS[spec["system"]]
+            policy = factory(seed)
+        out = run_simulation(world_from_dataset(ds, seed=1000 + seed), policy, inference, config)
+        return out[["avg_answers", "error_rate", "mnad"]]
 
-    results = (
-        spark.createDataFrame(specs)
-        .groupBy("dataset", "system", "seed")
-        .applyInPandas(lambda pdf: kernel(pdf), _RESULT_SCHEMA)
-        .toPandas()
-    )
     return (
-        results.groupby(["dataset", "system", "avg_answers"], sort=False)[
-            ["error_rate", "mnad"]
-        ]
-        .mean()
-        .reset_index()
+        fan_out(spark, specs, run, "avg_answers double, error_rate double, mnad double", "seed")
         .sort_values(["system", "avg_answers"])
         .reset_index(drop=True)
     )

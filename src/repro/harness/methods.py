@@ -20,24 +20,24 @@ from ..core.em import tcrowd_em
 from ..crowd.schema import TableSchema, restrict_answers, validate_answers
 
 
-def tcrowd(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.DataFrame:
-    return tcrowd_em(answers, schema, **kw).truth
+def tcrowd(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
+    return tcrowd_em(answers, schema).truth
 
 
-def tcrowd_only_cate(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.DataFrame:
+def tcrowd_only_cate(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     validate_answers(answers, schema)
     sub = restrict_answers(answers, schema, "cat")
     if sub.empty:
         return pd.DataFrame(columns=["row", "col", "truth"])
-    return tcrowd_em(sub, schema, **kw).truth
+    return tcrowd_em(sub, schema).truth
 
 
-def tcrowd_only_cont(answers: pd.DataFrame, schema: TableSchema, **kw) -> pd.DataFrame:
+def tcrowd_only_cont(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     validate_answers(answers, schema)
     sub = restrict_answers(answers, schema, "cont")
     if sub.empty:
         return pd.DataFrame(columns=["row", "col", "truth"])
-    return tcrowd_em(sub, schema, **kw).truth
+    return tcrowd_em(sub, schema).truth
 
 
 #: Ordered as the rows of Table 7.

@@ -9,9 +9,10 @@ paper's defaults (M=10, R=0.5, mean difficulty 1.0):
 * ``noise``      — γ ∈ {0.1, 0.2, 0.3, 0.4} answers perturbed on the
   Celebrity-like dataset                           (Fig. 10)
 
-Replicates fan out over Spark via ``applyInPandas`` (the paper averages 100
-generated datasets; we default to 10 replicates — enough for stable
-orderings at a fraction of the cost; raise ``n_reps`` in the job to match).
+Each (parameter value, replicate) pair is one task of :func:`.grid.fan_out`
+(the paper averages 100 generated datasets; we default to 10 replicates —
+enough for stable orderings at a fraction of the cost; raise ``n_reps`` in
+the job to match).
 Methods compared: T-Crowd vs the two heterogeneous baselines CRH and CATD
 (plus GTM for the noise experiment's MNAD, as in Fig. 10).
 """
@@ -19,32 +20,12 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
-from ..baselines.catd import catd
-from ..baselines.crh import crh
-from ..baselines.gtm import gtm
-from ..core.em import tcrowd_em
 from ..crowd import datasets
-from ..crowd.metrics import error_rate, mnad
+from .grid import fan_out, score
+from .methods import TABLE7_METHODS
 
-_METHODS = {
-    "T-Crowd": lambda a, s: tcrowd_em(a, s).truth,
-    "CRH": crh,
-    "CATD": catd,
-    "GTM": gtm,
-}
-
-_RESULT_SCHEMA = T.StructType(
-    [
-        T.StructField("experiment", T.StringType()),
-        T.StructField("param", T.DoubleType()),
-        T.StructField("rep", T.LongType()),
-        T.StructField("method", T.StringType()),
-        T.StructField("error_rate", T.DoubleType()),
-        T.StructField("mnad", T.DoubleType()),
-    ]
-)
+_METHODS = {m: TABLE7_METHODS[m] for m in ("T-Crowd", "CRH", "CATD", "GTM")}
 
 SWEEP_VALUES = {
     "columns": [5.0, 10.0, 20.0, 50.0],
@@ -68,29 +49,6 @@ def _make_dataset(experiment: str, param: float, rep: int):
     raise ValueError(experiment)
 
 
-def _run_spec(pdf: pd.DataFrame) -> pd.DataFrame:
-    experiment = pdf["experiment"].iloc[0]
-    param = float(pdf["param"].iloc[0])
-    rep = int(pdf["rep"].iloc[0])
-    ds = _make_dataset(experiment, param, rep)
-    recs = []
-    for method, fn in _METHODS.items():
-        if method == "GTM" and experiment != "noise":
-            continue
-        est = fn(ds.answers, ds.schema)
-        recs.append(
-            {
-                "experiment": experiment,
-                "param": param,
-                "rep": rep,
-                "method": method,
-                "error_rate": error_rate(est, ds.truth, ds.schema),
-                "mnad": mnad(est, ds.truth, ds.schema),
-            }
-        )
-    return pd.DataFrame(recs)
-
-
 def build_sweep(
     spark: SparkSession, experiment: str, *, n_reps: int = 10
 ) -> pd.DataFrame:
@@ -101,18 +59,13 @@ def build_sweep(
             for r in range(n_reps)
         ]
     )
-    results = (
-        spark.createDataFrame(specs)
-        .groupBy("experiment", "param", "rep")
-        .applyInPandas(lambda pdf: _run_spec(pdf), _RESULT_SCHEMA)
-        .toPandas()
-    )
+    methods = {m: fn for m, fn in _METHODS.items() if m != "GTM" or experiment == "noise"}
+
+    def run(spec: dict) -> pd.DataFrame:
+        return score(_make_dataset(experiment, spec["param"], spec["rep"]), methods)
+
     return (
-        results.groupby(["experiment", "param", "method"], sort=False)[
-            ["error_rate", "mnad"]
-        ]
-        .mean()
-        .reset_index()
+        fan_out(spark, specs, run, "method string, error_rate double, mnad double", "rep")
         .sort_values(["param", "method"])
         .reset_index(drop=True)
     )

@@ -5,19 +5,17 @@ Runs every Table 7 method over the three simulated datasets, averaged over
 average replicates to remove seed luck — DESIGN.md §6), and reports Error
 Rate / MNAD next to the paper's numbers.
 
-Replicates × datasets fan out over Spark via ``applyInPandas`` on a spec
-relation — the experiment grid is itself a DataFrame job. The
-per-replicate method kernels and the Error Rate / MNAD computation
-(pandas, checked against DuckDB in tests) run inside the Spark tasks.
+Each (dataset, seed) replicate is one task of :func:`.grid.fan_out`, which
+runs every method on it and scores it with :func:`.grid.score` (Error Rate /
+MNAD in pandas, checked against DuckDB in tests) inside the Spark task.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
 from ..crowd import datasets
-from ..crowd.metrics import error_rate, mnad
+from .grid import fan_out, score
 from .methods import TABLE7_METHODS
 
 #: Table 7 as printed in the paper (Error Rate / MNAD; "/" = not applicable).
@@ -52,36 +50,6 @@ PAPER_TABLE7 = {
     ("TC-onlyCont", "emotion"): (None, 0.5961),
 }
 
-_RESULT_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType()),
-        T.StructField("seed", T.LongType()),
-        T.StructField("method", T.StringType()),
-        T.StructField("error_rate", T.DoubleType()),
-        T.StructField("mnad", T.DoubleType()),
-    ]
-)
-
-def _run_spec(spec: pd.DataFrame) -> pd.DataFrame:
-    """One (dataset, seed) replicate: generate, run every method, score."""
-    dataset = spec["dataset"].iloc[0]
-    seed = int(spec["seed"].iloc[0])
-    ds = datasets.REAL_DATASETS[dataset](seed=seed)
-    recs = []
-    for method, fn in TABLE7_METHODS.items():
-        est = fn(ds.answers, ds.schema)
-        recs.append(
-            {
-                "dataset": dataset,
-                "seed": seed,
-                "method": method,
-                "error_rate": error_rate(est, ds.truth, ds.schema),
-                "mnad": mnad(est, ds.truth, ds.schema),
-            }
-        )
-    return pd.DataFrame(recs)
-
-
 def build_table7(spark: SparkSession, *, n_seeds: int = 5) -> pd.DataFrame:
     """Run the full Table 7 grid, fanning replicates out over Spark."""
     specs = pd.DataFrame(
@@ -91,18 +59,14 @@ def build_table7(spark: SparkSession, *, n_seeds: int = 5) -> pd.DataFrame:
             for k in range(n_seeds)
         ]
     )
-    spec_df = spark.createDataFrame(specs)
-    results = (
-        spec_df.groupBy("dataset", "seed")
-        .applyInPandas(lambda pdf: _run_spec(pdf), _RESULT_SCHEMA)
-        .toPandas()
+
+    def run(spec: dict) -> pd.DataFrame:
+        ds = datasets.REAL_DATASETS[spec["dataset"]](seed=spec["seed"])
+        return score(ds, TABLE7_METHODS)
+
+    return fan_out(
+        spark, specs, run, "method string, error_rate double, mnad double", "seed"
     )
-    agg = (
-        results.groupby(["dataset", "method"], sort=False)[["error_rate", "mnad"]]
-        .mean()
-        .reset_index()
-    )
-    return agg
 
 
 def format_table7(measured: pd.DataFrame) -> str:

@@ -28,7 +28,7 @@ from repro.core.correlation import (
     combined_conditional,
     fit_error_model,
 )
-from repro.core.em import EMState, tcrowd_em
+from repro.core.em import EPS, EMState, tcrowd_em
 from repro.crowd.schema import restrict_answers
 from repro.crowd.stats import erf
 
@@ -112,7 +112,6 @@ def _cat_ig(post, q: float, n_labels: int) -> float:
 
 def _ref_inherent_gains(view: AssignmentView, worker: int) -> dict:
     res = view.result
-    eps = view.eps
     ig: dict = {}
     for rec in res.cont_cells.itertuples():
         cell = (int(rec.row), int(rec.col))
@@ -122,7 +121,7 @@ def _ref_inherent_gains(view: AssignmentView, worker: int) -> dict:
         ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
     for cell, post in _posts(res.cat_cells).items():
         v_u = _cell_params(view, worker, *cell)
-        q = float(erf(eps / np.sqrt(2.0 * v_u)))
+        q = float(erf(EPS / np.sqrt(2.0 * v_u)))
         n_labels = view.schema.column(cell[1]).n_labels
         ig[cell] = _cat_ig(post, q, n_labels)
     return ig

@@ -22,7 +22,7 @@ class TestTable6Shapes:
         assert ds.n_rows == rows
         assert ds.schema.n_cols == cols
         assert ds.n_cells == cells
-        assert ds.answers_per_task == pytest.approx(apt)
+        assert len(ds.answers) / ds.n_cells == pytest.approx(apt)
 
     def test_every_cell_answered(self, gen, rows, cols, cells, apt):
         ds = gen()

@@ -1,7 +1,10 @@
 """Integration tests for the table harnesses (smoke + layout + oracle)."""
+import json
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import TaskContext
 
 from repro.crowd.simulator import SimConfig
 from repro.harness.assignment_tables import (
@@ -10,6 +13,7 @@ from repro.harness.assignment_tables import (
     build_assignment_table,
     format_assignment_table,
 )
+from repro.harness.grid import fan_out
 from repro.harness.methods import METHOD_SCOPE, TABLE7_METHODS
 from repro.harness.sweeps import SWEEP_VALUES, build_sweep, format_sweep
 from repro.harness.table6 import (
@@ -20,6 +24,68 @@ from repro.harness.table6 import (
 )
 from repro.harness.table7 import PAPER_TABLE7, build_table7, format_table7
 from repro.oracle import assert_equivalent
+
+
+class TestFanOut:
+    """The grid runner on a fake ``run``: 2 spec keys × 3 replicates."""
+
+    SPECS = pd.DataFrame(
+        [{"name": n, "param": p, "rep": r} for n, p in [("a", 0.5), ("b", 2.0)] for r in range(3)]
+    )
+
+    @staticmethod
+    def _frame(spec: dict) -> pd.DataFrame:
+        """Two methods' metrics, a function of every spec value; ``y`` has
+        no MNAD."""
+        er = spec["param"] * (spec["rep"] + 1) / 7.0
+        return pd.DataFrame(
+            {"method": ["x", "y"], "error_rate": [er, er / 3.0], "mnad": [spec["rep"] / 9.0, np.nan]}
+        )
+
+    @pytest.fixture(scope="class")
+    def ran(self, spark, tmp_path_factory):
+        """``(fan_out result, one record per run call)``; each call leaves a
+        file naming its spec and its Spark partition."""
+        calls = tmp_path_factory.mktemp("calls")
+
+        def run(spec: dict) -> pd.DataFrame:
+            part = TaskContext.get().partitionId()
+            rec = {**spec, "types": [type(spec[k]).__name__ for k in spec], "part": part}
+            (calls / f"{spec['name']}-{spec['rep']}-{part}").write_text(json.dumps(rec))
+            return self._frame(spec)
+
+        out = fan_out(spark, self.SPECS, run, "method string, error_rate double, mnad double", "rep")
+        return out, [json.loads(f.read_text()) for f in sorted(calls.iterdir())]
+
+    def test_each_spec_runs_once_with_its_values(self, ran):
+        _, recs = ran
+        assert sorted((r["name"], r["param"], r["rep"]) for r in recs) == sorted(
+            self.SPECS.itertuples(index=False, name=None)
+        )
+        assert all(r["types"] == ["str", "float", "int"] for r in recs)
+
+    def test_spec_columns_first_with_their_types(self, ran):
+        out, _ = ran
+        assert list(out.columns) == ["name", "param", "method", "error_rate", "mnad"]
+        assert out["name"].map(type).eq(str).all()
+        assert out["param"].dtype == np.float64
+
+    def test_equals_pandas_mean_over_replicates(self, ran):
+        out, _ = ran
+        frames = [
+            self._frame(spec).assign(**spec) for spec in self.SPECS.to_dict("records")
+        ]
+        want = (
+            pd.concat(frames, ignore_index=True)
+            .groupby(["name", "param", "method"], sort=False)[["error_rate", "mnad"]]
+            .mean()
+            .reset_index()
+        )
+        pd.testing.assert_frame_equal(out, want, check_exact=True)
+
+    def test_one_partition_per_spec(self, ran):
+        _, recs = ran
+        assert len({r["part"] for r in recs}) == len(self.SPECS)
 
 
 class TestTable6:

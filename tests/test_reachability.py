@@ -1,9 +1,9 @@
 """Every module-level name in ``src/repro`` is used by the system.
 
-A function, class or constant defined at the top of a module, public or
-``_``-prefixed, must be referenced somewhere in ``src/``, ``jobs/`` or
-``perfbench/`` outside its own definition; tests alone do not keep code
-alive. A reference is a name, an
+A function, class or constant defined at the top of a module, or a method
+or property of such a class, public or ``_``-prefixed, must be referenced
+somewhere in ``src/``, ``jobs/`` or ``perfbench/`` outside its own
+definition; tests alone do not keep code alive. A reference is a name, an
 attribute, an imported name, or a string that is exactly the name (the
 benchmark patches functions by attribute name).
 
@@ -40,18 +40,21 @@ def _references(node: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module, private: bool):
-    """``(name, node)`` of each top-level function, class and constant whose
-    name starts with ``_`` (``private``) or does not; dunders are skipped."""
+    """``(name, node)`` of each top-level function, class and constant, and
+    of each method and property of a top-level class, whose name starts
+    with ``_`` (``private``) or does not; dunders are skipped."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(n.name, n) for n in node.body if isinstance(n, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defs = [(t.id, node) for t in targets if isinstance(t, ast.Name)]
         else:
             continue
         yield from (
-            (name, node) for name in names
+            (name, n) for name, n in defs
             if name.startswith("_") == private and not name.startswith("__")
         )
 

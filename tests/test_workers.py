@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from repro.crowd import datasets as D
-from repro.crowd.workers import EPSILON, default_beta, make_pool, simulate_answers
-from repro.crowd.stats import erf
+from repro.crowd.workers import default_beta, make_pool, simulate_answers
 
 
 class TestMakePool:
@@ -25,17 +24,6 @@ class TestMakePool:
         # lognormal(σ=1.2): mean well above median.
         phi = make_pool(5000, seed=3).phi
         assert phi.mean() > 1.5 * np.median(phi)
-
-    def test_quality_decreases_with_phi(self):
-        p = make_pool(100, seed=4)
-        q = p.quality()
-        order = np.argsort(p.phi)
-        assert (np.diff(q[order]) <= 1e-12).all()
-
-    def test_quality_matches_eq2(self):
-        p = make_pool(5, seed=5)
-        expected = erf(EPSILON / np.sqrt(2.0 * p.phi))
-        np.testing.assert_allclose(p.quality(), expected)
 
 
 class TestDefaultBeta:
@@ -75,15 +63,6 @@ class TestSimulateAnswers:
         ds = simulate_answers(schema, truth, pool, n_per_task=4, seed=2)
         dupes = ds.answers.duplicated(["worker", "row", "col"]).sum()
         assert dupes == 0
-
-    def test_row_worker_pairs_override(self):
-        schema, truth, pool, _ = self._small()
-        pairs = [(0, 1), (0, 2), (5, 3)]
-        ds = simulate_answers(
-            schema, truth, pool, n_per_task=99, seed=2, row_worker_pairs=pairs
-        )
-        assert len(ds.answers) == len(pairs) * schema.n_cols
-        assert set(ds.answers["row"].unique()) == {0, 5}
 
     def test_participation_skew_concentrates_answers(self):
         schema, truth, pool, _ = self._small()
