@@ -29,7 +29,7 @@ Policies:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -52,10 +52,11 @@ _EPS_Q = 1e-6
 class AssignmentView:
     """Everything a policy may look at when assigning tasks.
 
-    ``result`` is the latest T-Crowd inference output (None for baseline
-    policies that do not use it); ``error_model`` the fitted §5.2 model;
-    ``answered`` maps worker -> set of (row, col) already answered (a worker
-    never gets the same task twice); ``counts`` is answers-per-cell.
+    ``answers`` is the answer set so far (a worker never gets the same task
+    twice); ``result`` the latest T-Crowd inference output (None for
+    baseline policies that do not use it); ``error_model`` the fitted §5.2
+    model. A cell ``(row, col)`` is addressed by its flat index
+    ``row * n_cols + col``.
     """
 
     schema: TableSchema
@@ -63,17 +64,46 @@ class AssignmentView:
     answers: pd.DataFrame
     result: TCrowdResult | None = None
     error_model: ErrorModel | None = None
-    answered: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
 
-    def all_cells(self) -> list[tuple[int, int]]:
-        return [
-            (i, j) for i in range(self.n_rows) for j in range(self.schema.n_cols)
-        ]
+    @property
+    def n_cells(self) -> int:
+        return self.n_rows * self.schema.n_cols
 
-    def candidates(self, worker: int) -> list[tuple[int, int]]:
-        done = self.answered.get(worker, set())
-        return [c for c in self.all_cells() if c not in done]
+    def flat(self, rows, cols) -> np.ndarray:
+        """Flat index of each cell ``(rows[i], cols[i])``."""
+        return np.asarray(rows, np.int64) * self.schema.n_cols + np.asarray(cols, np.int64)
+
+    def cells(self, flat: np.ndarray) -> list[tuple[int, int]]:
+        """``(row, col)`` of each flat index."""
+        return [divmod(int(i), self.schema.n_cols) for i in flat]
+
+    def answer_counts(self) -> np.ndarray:
+        """Answers per cell, by flat index."""
+        a = self.answers
+        return np.bincount(self.flat(a["row"], a["col"]), minlength=self.n_cells)
+
+    def candidates(self, worker: int) -> np.ndarray:
+        """Flat indices of the cells ``worker`` has not answered, row-major."""
+        a = self.answers
+        free = np.ones(self.n_cells, dtype=bool)
+        free[self.flat(a["row"], a["col"])[a["worker"].to_numpy() == worker]] = False
+        return np.flatnonzero(free)
+
+
+def _top_k(view: AssignmentView, worker: int, key: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """The ``k`` candidate cells of ``worker`` with the smallest ``key`` (one
+    entry per flat cell; NaN sorts last). The sort is stable, so equal keys
+    keep row-major order."""
+    cand = view.candidates(worker)
+    return view.cells(cand[np.argsort(key[cand], kind="stable")[:k]])
+
+
+def _draw(rng: np.random.Generator, view: AssignmentView, cand: np.ndarray, k: int):
+    """``min(k, len(cand))`` of the flat cells ``cand``, drawn uniformly
+    without replacement."""
+    if not len(cand):
+        return []
+    return view.cells(cand[rng.choice(len(cand), size=min(k, len(cand)), replace=False)])
 
 
 class RandomPolicy:
@@ -83,35 +113,26 @@ class RandomPolicy:
         self.rng = np.random.default_rng(seed)
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
-        cand = view.candidates(worker)
-        if not cand:
-            return []
-        idx = self.rng.choice(len(cand), size=min(k, len(cand)), replace=False)
-        return [cand[i] for i in idx]
+        return _draw(self.rng, view, view.candidates(worker), k)
 
 
 class LoopingPolicy:
     """Round-robin: the cells with the fewest answers, in row/col order."""
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
-        cand = view.candidates(worker)
-        cand.sort(key=lambda c: (view.counts.get(c, 0), c))
-        return cand[:k]
+        return _top_k(view, worker, view.answer_counts(), k)
 
 
-def _cont_entropy(t_phi: float) -> float:
-    return 0.5 * float(np.log(2.0 * np.pi * np.e * max(t_phi, 1e-300)))
-
-
-def uniform_entropy(view: AssignmentView) -> dict:
-    """H(T_ij) per cell (§5.1): differential for continuous, Shannon for
-    categorical. NOT comparable across types — used by EntropyPolicy to
-    reproduce the paper's bias demonstration."""
-    ent: dict = {}
-    for rec in view.result.cont_cells.itertuples():
-        ent[(int(rec.row), int(rec.col))] = _cont_entropy(float(rec.t_phi))
-    cat = view.result.cat_cells
-    ent.update(zip(zip(cat.rows.tolist(), cat.cols.tolist()), cat.entropy().tolist()))
+def uniform_entropy(view: AssignmentView) -> np.ndarray:
+    """H(T_ij) per flat cell (§5.1): differential for continuous, Shannon
+    for categorical; NaN where the result holds no posterior. NOT
+    comparable across types — used by EntropyPolicy to reproduce the
+    paper's bias demonstration."""
+    ent = np.full(view.n_cells, np.nan)
+    cc, cat = view.result.cont_cells, view.result.cat_cells
+    t_phi = np.maximum(cc["t_phi"].to_numpy(np.float64), 1e-300)
+    ent[view.flat(cc["row"], cc["col"])] = 0.5 * np.log(2.0 * np.pi * np.e * t_phi)
+    ent[view.flat(cat.rows, cat.cols)] = cat.entropy()
     return ent
 
 
@@ -119,10 +140,7 @@ class EntropyPolicy:
     """Greedy max uniform-entropy (the flawed straw-man of §5.1)."""
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
-        ent = uniform_entropy(view)
-        cand = view.candidates(worker)
-        cand.sort(key=lambda c: -ent.get(c, -np.inf))
-        return cand[:k]
+        return _top_k(view, worker, -uniform_entropy(view), k)
 
 
 def cat_ig(
@@ -176,59 +194,37 @@ def _cont_ig(t_phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(t_phi / (1.0 / (1.0 / t_phi + 1.0 / v)))
 
 
-class _Cells:
-    """One kind of cell of a :class:`TCrowdResult` as arrays, one row per
-    cell: ``keys`` are the ``(row, col)`` pairs, ``data`` holds the per-cell
-    posterior arrays."""
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, **data):
-        self.keys = list(zip(rows.tolist(), cols.tolist()))
-        self.rows, self.cols, self.data = rows, cols, data
-
-    def positions(self) -> dict:
-        """``(row, col)`` -> row of the arrays."""
-        return {cell: i for i, cell in enumerate(self.keys)}
-
-    def take(self, idx) -> dict:
-        return {k: v[idx] for k, v in self.data.items()}
-
-
-def _answer_var(res: TCrowdResult, worker: int, cells: _Cells) -> np.ndarray:
-    """``exp(ln α_i + ln β_j + ln φ_u)`` per cell; a row or worker beyond the
-    state takes 0.0 in log space."""
-    st = res.state
-    ln_a = np.zeros(len(cells.rows))
-    known = cells.rows < len(st.ln_alpha)
-    ln_a[known] = st.ln_alpha[cells.rows[known]]
-    ln_p = st.ln_phi[worker] if worker < len(st.ln_phi) else 0.0
-    return np.exp(ln_a + st.ln_beta[cells.cols] + ln_p)
-
-
 class InherentIGPolicy:
     """Eq. 6: greedy top-K by inherent information gain."""
 
-    def gains(self, view: AssignmentView, worker: int) -> dict:
-        return self._inherent(view, worker)[0]
-
-    def _inherent(self, view: AssignmentView, worker: int):
-        """The gain of every cell, with the cell arrays it was scored from."""
+    def gains(self, view: AssignmentView, worker: int) -> np.ndarray:
+        """The gain of every flat cell; NaN where the result holds no
+        posterior."""
         res = view.result
+        q, v = self._answer_quality(view, worker)
+        ig = np.full(view.n_cells, np.nan)
         cc, c = res.cont_cells, res.cat_cells
-        cont = _Cells(cc["row"].to_numpy(np.int64), cc["col"].to_numpy(np.int64),
-                      t_phi=cc["t_phi"].to_numpy(np.float64))
-        cat = _Cells(c.rows, c.cols, probs=c.probs, n_ans=c.n_ans, n_un=c.n_un,
-                     p0=c.p0, n_labels=c.n_labels)
-        v = _answer_var(res, worker, cont)
-        ig = dict(zip(cont.keys, _cont_ig(cont.data["t_phi"], v).tolist()))
-        q = erf(EPS / np.sqrt(2.0 * _answer_var(res, worker, cat)))
-        ig.update(zip(cat.keys, cat_ig(**cat.data, q=q).tolist()))
-        return ig, cat, cont
+        at = view.flat(cc["row"], cc["col"])
+        ig[at] = _cont_ig(cc["t_phi"].to_numpy(np.float64), v[at])
+        at = view.flat(c.rows, c.cols)
+        ig[at] = cat_ig(c.probs, c.n_ans, c.n_un, c.p0, c.n_labels, q[at])
+        return ig
+
+    def _answer_quality(self, view: AssignmentView, worker: int):
+        """``(q, v)`` per flat cell: the worker's answer variance
+        ``v = exp(ln α_i + ln β_j + ln φ_u)`` and categorical accuracy
+        ``q = erf(ε/√(2v))``. A row or worker beyond the state takes 0.0 in
+        log space."""
+        st = view.result.state
+        ln_a = np.zeros(view.n_rows)
+        known = min(view.n_rows, len(st.ln_alpha))
+        ln_a[:known] = st.ln_alpha[:known]
+        ln_p = st.ln_phi[worker] if worker < len(st.ln_phi) else 0.0
+        v = np.exp(ln_a[:, None] + st.ln_beta[None, :] + ln_p).ravel()
+        return erf(EPS / np.sqrt(2.0 * v)), v
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
-        ig = self.gains(view, worker)
-        cand = view.candidates(worker)
-        cand.sort(key=lambda c: -ig.get(c, -np.inf))
-        return cand[:k]
+        return _top_k(view, worker, -self.gains(view, worker), k)
 
 
 class StructureAwarePolicy(InherentIGPolicy):
@@ -246,37 +242,29 @@ class StructureAwarePolicy(InherentIGPolicy):
             out.setdefault(int(row), {})[int(col)] = float(err)
         return out
 
-    def gains(self, view: AssignmentView, worker: int) -> dict:
-        ig, cat, cont = self._inherent(view, worker)
+    def _answer_quality(self, view: AssignmentView, worker: int):
+        """The inherent ``(q, v)``, overwritten at each unanswered cell of a
+        row the worker has answered in by the §5.2 conditional."""
+        q, v = super()._answer_quality(view, worker)
         model = view.error_model
         if model is None:
-            return ig
-        cat_at, cont_at = cat.positions(), cont.positions()
-        cat_idx, q_eff, cont_idx, v_eff = [], [], [], []
+            return q, v
+        n_cols = view.schema.n_cols
         for row, errs in self._observed_errors(view, worker).items():
-            for j in range(view.schema.n_cols):
-                cell = (row, j)
-                if cell not in ig or j in errs:
+            for j in range(n_cols):
+                if j in errs:
                     continue
                 dist = combined_conditional(model, j, errs)
                 if dist is None:
                     continue
                 if isinstance(dist, Bernoulli):
-                    cat_idx.append(cat_at[cell])
-                    q_eff.append(1.0 - dist.p_wrong)
+                    q[row * n_cols + j] = 1.0 - dist.p_wrong
                 else:
                     assert isinstance(dist, Normal)
-                    cont_idx.append(cont_at[cell])
                     # Effective answer variance: conditional spread plus the
                     # predictable offset (a biased answer is less informative).
-                    v_eff.append(max(dist.var + dist.mu**2, 1e-12))
-        if cat_idx:
-            g = cat_ig(**cat.take(cat_idx), q=np.array(q_eff))
-            ig.update(zip([cat.keys[i] for i in cat_idx], g.tolist()))
-        if cont_idx:
-            g = _cont_ig(cont.take(cont_idx)["t_phi"], np.array(v_eff))
-            ig.update(zip([cont.keys[i] for i in cont_idx], g.tolist()))
-        return ig
+                    v[row * n_cols + j] = max(dist.var + dist.mu**2, 1e-12)
+        return q, v
 
 
 class CdasPolicy:
@@ -290,8 +278,9 @@ class CdasPolicy:
         self.ci_frac = ci_frac
         self.rng = np.random.default_rng(seed)
 
-    def _terminated(self, view: AssignmentView) -> set:
-        term = set()
+    def _terminated(self, view: AssignmentView) -> np.ndarray:
+        """Flat mask of the terminated cells."""
+        term = np.zeros(view.n_cells, dtype=bool)
         a = view.answers
         cat = set(view.schema.categorical_idx)
         col_sd = {
@@ -304,23 +293,16 @@ class CdasPolicy:
                 continue
             if col in cat:
                 frac = grp["value"].round().value_counts().iloc[0] / n
-                if frac >= self.p_term:
-                    term.add((int(row), int(col)))
+                term[view.flat(row, col)] = frac >= self.p_term
             else:
                 half = 1.96 * float(grp["value"].std(ddof=1) or 0.0) / np.sqrt(n)
-                if half <= self.ci_frac * col_sd[col]:
-                    term.add((int(row), int(col)))
+                term[view.flat(row, col)] = half <= self.ci_frac * col_sd[col]
         return term
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
-        term = self._terminated(view)
-        cand = [c for c in view.candidates(worker) if c not in term]
-        if not cand:
-            cand = view.candidates(worker)
-        if not cand:
-            return []
-        idx = self.rng.choice(len(cand), size=min(k, len(cand)), replace=False)
-        return [cand[i] for i in idx]
+        cand = view.candidates(worker)
+        live = cand[~self._terminated(view)[cand]]
+        return _draw(self.rng, view, live if len(live) else cand, k)
 
 
 class AskItPolicy:
@@ -342,18 +324,16 @@ class AskItPolicy:
             j: max(float(a.loc[a["col"] == j, "value"].std(ddof=0) or 1.0), 1e-6)
             for j in view.schema.continuous_idx
         }
-        unc: dict = {}
+        unc = np.full(view.n_cells, np.inf)  # an unanswered cell is the most uncertain
         for (row, col), grp in a.groupby(["row", "col"]):
             if col in cat:
                 p = grp["value"].round().value_counts(normalize=True).to_numpy()
-                unc[(int(row), int(col))] = -float(np.sum(p * np.log(p)))
+                unc[view.flat(row, col)] = -float(np.sum(p * np.log(p)))
             else:
                 if len(grp) >= 2:
                     sd = float(grp["value"].std(ddof=0) or 0.0)
                     sd = max(sd, 0.05 * col_sd[col])  # agreement ≠ certainty
                 else:
                     sd = col_sd[col]
-                unc[(int(row), int(col))] = float(np.log(max(sd, 1e-6)))
-        cand = view.candidates(worker)
-        cand.sort(key=lambda c: -unc.get(c, np.inf))
-        return cand[:k]
+                unc[view.flat(row, col)] = float(np.log(max(sd, 1e-6)))
+        return _top_k(view, worker, -unc, k)

@@ -159,8 +159,6 @@ def run_simulation(
 
     recs: list[dict] = []
     answers: list[tuple] = []  # (worker, row, col, value)
-    answered: dict[int, set] = {}
-    counts: dict[tuple, int] = {}
 
     ranks = np.arange(1, world.pool.n_workers + 1, dtype=np.float64)
     pw = ranks ** (-config.participation_skew)
@@ -170,8 +168,6 @@ def run_simulation(
         for row, col in cells:
             val = world.answer(worker, row, col)
             answers.append((worker, row, col, val))
-            answered.setdefault(worker, set()).add((row, col))
-            counts[(row, col)] = counts.get((row, col), 0) + 1
 
     # Bootstrap: every task gets `init_answers_per_task` answers (Alg. 2
     # line 1), collected row-wise like HITs.
@@ -231,8 +227,6 @@ def run_simulation(
             answers=df,
             result=res,
             error_model=err_model,
-            answered=answered,
-            counts=counts,
         )
         cells = policy.pick(view, worker, config.batch_size)
         if not cells:

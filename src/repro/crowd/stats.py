@@ -1,18 +1,14 @@
 """Statistical primitives the paper needs that scipy would normally supply.
 
-The container has no scipy, so we build the three special functions used by
+The container has no scipy, so we build the two special functions used by
 T-Crowd and the CATD baseline from scratch:
 
 * :func:`erf` — Gauss error function: stdlib ``math.erf`` applied to each
   element of an array (a Python-level loop, not a numpy ufunc; exactly
   ``math.erf``, so results match it bit for bit).
-* :func:`norm_ppf` — inverse standard-normal CDF via Acklam's rational
-  approximation (|rel err| < 1.15e-9), used by :func:`chi2_ppf`.
-* :func:`chi2_ppf` — chi-squared quantile via the Wilson–Hilferty cube-root
-  normal approximation, used for CATD's upper-confidence source weights.
-
-Accuracy notes live in DESIGN.md §3: approximation error is orders of
-magnitude below the effect sizes the experiments measure.
+* :func:`chi2_ppf` — chi-squared quantile: bisection on the regularised
+  lower incomplete gamma function's power series, used for CATD's
+  lower-quantile source weights. Tested against mpmath to 1e-12.
 """
 from __future__ import annotations
 
@@ -31,56 +27,48 @@ def erf(x: np.ndarray | float) -> np.ndarray | float:
     return np.fromiter(map(math.erf, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
 
 
-# Acklam's coefficients for the inverse normal CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+def _chi2_cdf(x: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """P(χ²_df ≤ x), elementwise: the regularised lower incomplete gamma
+    P(a, h) with a = df/2, h = x/2, from its power series
 
+        P(a, h) = h^a e^{-h} / Γ(a+1) · Σ_{n≥0} h^n / ((a+1)(a+2)…(a+n)).
 
-def norm_ppf(p: np.ndarray | float) -> np.ndarray | float:
-    """Inverse CDF of the standard normal (Acklam's approximation).
-
-    Valid on (0, 1); endpoints map to ∓inf. Vectorised.
-    """
-    scalar = np.isscalar(p)
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    x = np.full_like(p, np.nan)
-    x[p <= 0.0] = -np.inf
-    x[p >= 1.0] = np.inf
-
-    lo = (0.0 < p) & (p < _P_LOW)
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        x[lo] = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    hi = (1.0 - _P_LOW < p) & (p < 1.0)
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        x[hi] = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                  / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    mid = (_P_LOW <= p) & (p <= 1.0 - _P_LOW)
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        x[mid] = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-                  / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    return float(x[0]) if scalar else x
+    Every term is positive, so the sum loses no digits to cancellation; it
+    runs until the next term raises no element."""
+    a, h = df / 2.0, x / 2.0
+    term = np.ones_like(h)
+    total = np.ones_like(h)
+    n = 0
+    while True:
+        n += 1
+        term = term * h / (a + n)
+        new = total + term
+        if not (new > total).any():
+            break
+        total = new
+    lgam = np.array([math.lgamma(v) for v in (a + 1.0).tolist()])
+    with np.errstate(divide="ignore"):
+        return np.minimum(np.exp(a * np.log(h) - h - lgam) * total, 1.0)
 
 
 def chi2_ppf(p: float, df: np.ndarray | float) -> np.ndarray | float:
-    """Chi-squared quantile via Wilson–Hilferty: good for df >= 1, p in (0,1).
+    """Chi-squared quantile: the x with P(χ²_df ≤ x) = p, for df > 0 and p
+    in (0, 1 − 1e-12], by bisection on :func:`_chi2_cdf` down to adjacent
+    floats.
 
-    chi2_{df}(p) ≈ df * (1 - 2/(9 df) + z_p sqrt(2/(9 df)))^3, clamped at 0.
-    """
+    The bracket [0, df + 10·√(2 df) + 40] reaches more than ten standard
+    deviations above the mean. Against mpmath the CDF at the result is p
+    to within 1e-12 relative for df ≤ 5000; the error grows with df,
+    because the series' prefactor cancels terms of size ~df."""
     scalar = np.isscalar(df)
     df = np.atleast_1d(np.asarray(df, dtype=np.float64))
-    z = norm_ppf(p)
-    t = 1.0 - 2.0 / (9.0 * df) + z * np.sqrt(2.0 / (9.0 * df))
-    out = df * np.maximum(t, 0.0) ** 3
-    return float(out[0]) if scalar else out
+    lo = np.zeros_like(df)
+    hi = df + 10.0 * np.sqrt(2.0 * df) + 40.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        below = _chi2_cdf(mid, df) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return float(mid[0]) if scalar else mid

@@ -196,13 +196,23 @@ def _kernel(posts, q, n_labels) -> np.ndarray:
     )
 
 
+def _by_cell(view: AssignmentView, flat: np.ndarray) -> dict:
+    """``(row, col)`` -> value of each non-NaN entry of a flat per-cell
+    array, the form of the reference dicts."""
+    return {
+        divmod(i, view.schema.n_cols): x
+        for i, x in enumerate(flat.tolist()) if not math.isnan(x)
+    }
+
+
+def _answered(view: AssignmentView, worker: int) -> set:
+    """The ``(row, col)`` cells ``worker`` has answered."""
+    a = view.answers[view.answers["worker"] == worker]
+    return set(zip(a["row"].tolist(), a["col"].tolist()))
+
+
 @pytest.fixture(scope="module")
 def view(tiny_ds, tiny_em):
-    answered = {
-        int(w): set(map(tuple, grp[["row", "col"]].itertuples(index=False)))
-        for w, grp in tiny_ds.answers.groupby("worker")
-    }
-    counts = tiny_ds.answers.groupby(["row", "col"]).size().to_dict()
     model = fit_error_model(tiny_ds.answers, tiny_em.truth, tiny_ds.schema)
     return AssignmentView(
         schema=tiny_ds.schema,
@@ -210,8 +220,6 @@ def view(tiny_ds, tiny_em):
         answers=tiny_ds.answers,
         result=tiny_em,
         error_model=model,
-        answered=answered,
-        counts=counts,
     )
 
 
@@ -224,20 +232,7 @@ def partial_view(view):
     w = int(view.answers["worker"].mode()[0])
     a = view.answers
     partial = a[~((a["worker"] == w) & (a["col"] == 3))].reset_index(drop=True)
-    answered = {
-        int(u): set(map(tuple, grp[["row", "col"]].itertuples(index=False)))
-        for u, grp in partial.groupby("worker")
-    }
-    view2 = AssignmentView(
-        schema=view.schema,
-        n_rows=view.n_rows,
-        answers=partial,
-        result=view.result,
-        error_model=view.error_model,
-        answered=answered,
-        counts=partial.groupby(["row", "col"]).size().to_dict(),
-    )
-    return view2, w
+    return dataclasses.replace(view, answers=partial), w
 
 
 class TestCatIG:
@@ -345,17 +340,19 @@ class TestGainsEqualReference:
 
     @pytest.mark.parametrize("worker", [0, 3, 7, 19])
     def test_inherent(self, view, worker):
-        assert InherentIGPolicy().gains(view, worker) == _ref_inherent_gains(view, worker)
+        got = InherentIGPolicy().gains(view, worker)
+        assert _by_cell(view, got) == _ref_inherent_gains(view, worker)
 
     @pytest.mark.parametrize("worker", [0, 3, 7, 19])
     def test_structure_aware(self, view, worker):
-        assert StructureAwarePolicy().gains(view, worker) == _ref_structure_gains(view, worker)
+        got = StructureAwarePolicy().gains(view, worker)
+        assert _by_cell(view, got) == _ref_structure_gains(view, worker)
 
     def test_structure_aware_partial_history(self, partial_view):
         view2, w = partial_view
         got = StructureAwarePolicy().gains(view2, w)
-        assert got == _ref_structure_gains(view2, w)
-        assert got != InherentIGPolicy().gains(view2, w)
+        assert _by_cell(view2, got) == _ref_structure_gains(view2, w)
+        assert got.tolist() != InherentIGPolicy().gains(view2, w).tolist()
 
     def test_worker_and_rows_beyond_state(self, view):
         # An unseen worker, and rows the state does not cover yet, take
@@ -367,19 +364,18 @@ class TestGainsEqualReference:
         for worker in (0, unseen):
             for policy, ref in ((InherentIGPolicy(), _ref_inherent_gains),
                                 (StructureAwarePolicy(), _ref_structure_gains)):
-                assert policy.gains(view2, worker) == ref(view2, worker)
+                assert _by_cell(view2, policy.gains(view2, worker)) == ref(view2, worker)
 
 
 class TestUniformEntropy:
     def test_covers_all_cells(self, view, tiny_ds):
         ent = uniform_entropy(view)
         assert len(ent) == tiny_ds.n_cells
+        assert not np.isnan(ent).any()
 
     def test_categorical_entropy_nonnegative(self, view, tiny_ds):
-        ent = uniform_entropy(view)
-        for (r, c), h in ent.items():
-            if c in tiny_ds.schema.categorical_idx:
-                assert h >= -1e-12
+        ent = uniform_entropy(view).reshape(view.n_rows, -1)
+        assert (ent[:, tiny_ds.schema.categorical_idx] >= -1e-12).all()
 
 
 def test_policies_on_table_without_categorical_answers(tiny_ds):
@@ -391,13 +387,13 @@ def test_policies_on_table_without_categorical_answers(tiny_ds):
         error_model=fit_error_model(answers, res.truth, tiny_ds.schema),
     )
     cont = set(zip(res.cont_cells["row"].tolist(), res.cont_cells["col"].tolist()))
-    assert set(uniform_entropy(view)) == cont
+    assert set(_by_cell(view, uniform_entropy(view))) == cont
     for policy in (EntropyPolicy(), InherentIGPolicy(), StructureAwarePolicy()):
         picks = policy.pick(view, 0, 5)
         assert len(picks) == 5 and set(picks) <= cont
     for policy, ref in ((InherentIGPolicy(), _ref_inherent_gains),
                         (StructureAwarePolicy(), _ref_structure_gains)):
-        assert policy.gains(view, 0) == ref(view, 0)
+        assert _by_cell(view, policy.gains(view, 0)) == ref(view, 0)
 
 
 class TestPolicies:
@@ -419,36 +415,53 @@ class TestPolicies:
         cells = policy.pick(view, worker, 5)
         assert len(cells) == 5
         assert len(set(cells)) == 5
-        assert all(c not in view.answered[worker] for c in cells)
+        assert not set(cells) & _answered(view, worker)
 
     def test_random_respects_k_larger_than_candidates(self, view):
         # Worker who answered everything gets an empty assignment.
-        view2 = AssignmentView(
-            schema=view.schema,
-            n_rows=view.n_rows,
-            answers=view.answers,
-            result=view.result,
-            answered={0: set(view.all_cells())},
-            counts=view.counts,
-        )
+        n_cols = view.schema.n_cols
+        every = pd.DataFrame({
+            "worker": 0,
+            "row": np.repeat(np.arange(view.n_rows), n_cols),
+            "col": np.tile(np.arange(n_cols), view.n_rows),
+            "value": 0.0,
+        })
+        others = view.answers[view.answers["worker"] != 0]
+        view2 = dataclasses.replace(view, answers=pd.concat([others, every]))
+        assert len(view2.candidates(0)) == 0
         assert RandomPolicy(0).pick(view2, 0, 3) == []
 
     def test_looping_prefers_least_answered(self, view):
+        counts = view.answer_counts().reshape(view.n_rows, -1)
         picks = LoopingPolicy().pick(view, 0, 3)
-        counts = [view.counts.get(c, 0) for c in picks]
-        all_counts = [view.counts.get(c, 0) for c in view.candidates(0)]
-        assert max(counts) <= min(all_counts) + 1
+        all_counts = counts.ravel()[view.candidates(0)]
+        assert max(counts[c] for c in picks) <= all_counts.min() + 1
+
+    def test_equal_keys_picked_in_row_major_order(self, view):
+        # Every cell of the tiny view has 3 answers, so Looping's keys all tie.
+        assert (view.answer_counts() == 3).all()
+        cand = view.candidates(0)
+        assert LoopingPolicy().pick(view, 0, 6) == view.cells(cand[:6])
+        # Gains that tie at two levels: the three top cells, listed out of
+        # order, come first in row-major order, then the rest in row-major.
+        policy = InherentIGPolicy()
+        gains = np.zeros(view.n_cells)
+        top = cand[[40, 3, 25]]
+        gains[top] = 1.0
+        policy.gains = lambda v, w: gains
+        rest = cand[gains[cand] == 0.0]
+        assert policy.pick(view, 0, 6) == view.cells(np.r_[np.sort(top), rest[:3]])
 
     def test_inherent_ig_all_finite(self, view):
         ig = InherentIGPolicy().gains(view, 0)
-        assert all(np.isfinite(v) for v in ig.values())
+        assert np.isfinite(ig).all()
         assert len(ig) == 30 * 4
 
     def test_inherent_ig_picks_positive_gain(self, view):
-        ig = InherentIGPolicy().gains(view, 0)
+        ig = InherentIGPolicy().gains(view, 0).reshape(view.n_rows, -1)
         picks = InherentIGPolicy().pick(view, 0, 5)
         pick_gain = min(ig[c] for c in picks)
-        rest = [ig[c] for c in view.candidates(0) if c not in picks]
+        rest = [ig[c] for c in view.cells(view.candidates(0)) if c not in picks]
         assert pick_gain >= max(rest) - 1e-12
 
     def test_good_worker_gets_more_expected_gain(self, view, tiny_ds):
@@ -456,45 +469,35 @@ class TestPolicies:
         phi = view.result.state.ln_phi
         best_w = int(np.argmin(phi))
         worst_w = int(np.argmax(phi))
-        g_best = sum(ig_policy.gains(view, best_w).values())
-        g_worst = sum(ig_policy.gains(view, worst_w).values())
+        g_best = ig_policy.gains(view, best_w).sum()
+        g_worst = ig_policy.gains(view, worst_w).sum()
         assert g_best > g_worst
 
     def test_structure_aware_differs_from_inherent(self, partial_view):
         view2, w = partial_view
         base = InherentIGPolicy().gains(view2, w)
         sa = StructureAwarePolicy().gains(view2, w)
-        diffs = [abs(base[c] - sa[c]) for c in base]
-        assert max(diffs) > 0
+        diffs = np.abs(base - sa).reshape(view2.n_rows, -1)
+        assert diffs.max() > 0
         # And only cells in rows with partial history changed.
-        touched_rows = {r for (r, c) in view2.answered[w]}
-        for cell, d in zip(base, diffs):
-            if d > 0:
-                assert cell[0] in touched_rows
+        touched_rows = {r for (r, c) in _answered(view2, w)}
+        assert set(np.flatnonzero(diffs.max(axis=1) > 0)) <= touched_rows
 
     def test_structure_aware_without_model_equals_inherent(self, view):
-        view2 = AssignmentView(
-            schema=view.schema,
-            n_rows=view.n_rows,
-            answers=view.answers,
-            result=view.result,
-            error_model=None,
-            answered=view.answered,
-            counts=view.counts,
-        )
+        view2 = dataclasses.replace(view, error_model=None)
         w = 0
-        assert StructureAwarePolicy().gains(view2, w) == InherentIGPolicy().gains(
+        assert StructureAwarePolicy().gains(view2, w).tolist() == InherentIGPolicy().gains(
             view2, w
-        )
+        ).tolist()
 
     def test_cdas_terminates_confident_cells(self, view):
         pol = CdasPolicy(p_term=0.5, seed=0)
-        term = pol._terminated(view)
+        term = pol._terminated(view).reshape(view.n_rows, -1)
         # With 3 answers/cell, plenty of categorical cells have a ≥ 2/3
         # majority → terminated.
-        assert len(term) > 0
+        assert term.any()
         picks = pol.pick(view, 0, 5)
-        assert all(c not in term for c in picks)
+        assert not any(term[c] for c in picks)
 
     def test_entropy_policy_prefers_continuous(self, view, tiny_ds):
         # §5.1/§6.4.2: raw differential entropy of wide-domain continuous
@@ -514,7 +517,7 @@ class TestContinuousIGClosedForm:
         )
         t_phi = float(rec["t_phi"])
         want = 0.5 * math.log(t_phi / (1.0 / (1.0 / t_phi + 1.0 / v_u)))
-        ig = InherentIGPolicy().gains(view, 0)[cell]
+        ig = InherentIGPolicy().gains(view, 0).reshape(view.n_rows, -1)[cell]
         assert ig == pytest.approx(want, rel=1e-9)
 
     def test_gain_decreases_with_more_answers(self):

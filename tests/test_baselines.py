@@ -160,16 +160,9 @@ class TestCatd:
         # noisy loss estimate. Verify the ratio ordering directly.
         assert chi2_ppf(0.975, 40) / 40 < chi2_ppf(0.975, 5) / 5
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CATD takes the upper χ² quantile, which trusts a small source more: at "
-        "equal loss per answer a 5-answer worker gets 1.7x the weight of a 40-answer "
-        "one. The lower quantile would fix the direction, but Wilson–Hilferty clamps "
-        "it to 0 at df = 1.",
-    )
     def test_weight_rule_trusts_small_sources_less(self):
         n_u = np.array([5.0, 40.0])
-        w = catd_weights(n_u, significance=0.05)(0.5 * n_u)  # the same loss per answer
+        w = catd_weights(n_u)(0.5 * n_u)  # the same loss per answer
         assert w[0] < w[1]
 
     def test_catd_runs_and_converges(self, tiny_ds):

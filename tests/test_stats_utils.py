@@ -1,12 +1,13 @@
 """Unit tests for repro.crowd.stats — the scipy-replacement primitives."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crowd.stats import chi2_ppf, erf, norm_ppf
+from repro.crowd.stats import chi2_ppf, erf
 
 
 class TestErf:
@@ -49,42 +50,6 @@ class TestErf:
         assert -1.0 <= erf(x) <= 1.0
 
 
-class TestNormPpf:
-    def test_median(self):
-        assert norm_ppf(0.5) == pytest.approx(0.0, abs=1e-9)
-
-    def test_known_quantiles(self):
-        # Reference values from scipy.stats.norm.ppf.
-        assert norm_ppf(0.975) == pytest.approx(1.959963985, abs=1e-7)
-        assert norm_ppf(0.995) == pytest.approx(2.575829304, abs=1e-7)
-        assert norm_ppf(0.841344746) == pytest.approx(1.0, abs=1e-6)
-        assert norm_ppf(0.025) == pytest.approx(-1.959963985, abs=1e-7)
-
-    def test_symmetry(self):
-        ps = np.linspace(0.01, 0.49, 25)
-        np.testing.assert_allclose(norm_ppf(ps), -norm_ppf(1 - ps), atol=1e-8)
-
-    def test_tails(self):
-        # Deep-tail branch of Acklam's approximation.
-        assert norm_ppf(1e-10) == pytest.approx(-6.361340902, abs=1e-5)
-        assert norm_ppf(1 - 1e-10) == pytest.approx(6.361340902, abs=1e-5)
-
-    def test_endpoints(self):
-        assert norm_ppf(0.0) == -np.inf
-        assert norm_ppf(1.0) == np.inf
-
-    def test_roundtrip_with_erf(self):
-        # CDF(x) = (1 + erf(x/sqrt(2)))/2, so ppf(CDF(x)) == x.
-        for x in [-2.5, -1.0, 0.3, 1.8]:
-            p = (1 + math.erf(x / math.sqrt(2))) / 2
-            assert norm_ppf(p) == pytest.approx(x, abs=2e-8)
-
-    def test_vectorised(self):
-        out = norm_ppf(np.array([0.25, 0.5, 0.75]))
-        assert out.shape == (3,)
-        assert out[0] == pytest.approx(-out[2], abs=1e-9)
-
-
 class TestChi2Ppf:
     def test_known_values(self):
         # Reference values from scipy.stats.chi2.ppf.
@@ -106,3 +71,13 @@ class TestChi2Ppf:
     def test_scalar_and_vector(self):
         assert isinstance(chi2_ppf(0.9, 5), float)
         assert chi2_ppf(0.9, np.array([5.0, 6.0])).shape == (2,)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 40, 300])
+    @pytest.mark.parametrize("p", [1e-3, 0.025, 0.5, 0.975, 1 - 1e-9])
+    def test_matches_mpmath(self, p, df):
+        # The lower-tail probability of the quantile, computed by mpmath's
+        # regularised incomplete gamma at 30 digits, is p.
+        x = chi2_ppf(p, df)
+        with mpmath.workdps(30):
+            got = mpmath.gammainc(mpmath.mpf(df) / 2, 0, mpmath.mpf(x) / 2, regularized=True)
+        assert float(got) == pytest.approx(p, rel=1e-12)
