@@ -21,6 +21,8 @@ from ..crowd.schema import TableSchema, validate_answers
 from .voting import voted_truth
 
 _EPS = 1e-9
+_MAX_ITER = 20
+_TOL = 1e-6
 
 
 def weighted_truth_discovery(
@@ -93,11 +95,5 @@ def crh_weights(n_u: np.ndarray):
     return lambda loss_u: np.maximum(np.log(loss_u.sum() / loss_u), _EPS)
 
 
-def crh(
-    answers: pd.DataFrame,
-    schema: TableSchema,
-    *,
-    max_iter: int = 20,
-    tol: float = 1e-6,
-) -> pd.DataFrame:
-    return weighted_truth_discovery(answers, schema, crh_weights, max_iter=max_iter, tol=tol)
+def crh(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
+    return weighted_truth_discovery(answers, schema, crh_weights, max_iter=_MAX_ITER, tol=_TOL)

@@ -22,9 +22,11 @@ from ..crowd.schema import TableSchema, restrict_answers, validate_answers
 from .cells import LabelCells
 
 _SMOOTH = 0.01
+_MAX_ITER = 50  # EM rounds, for both methods
+_TOL = 1e-4  # stop once no posterior moves more than this
 
 
-def _ds_one_column(sub: pd.DataFrame, n_labels: int, max_iter: int, tol: float):
+def _ds_one_column(sub: pd.DataFrame, n_labels: int):
     """Standard D&S EM on one column's answers. Returns (row, truth)."""
     rows, row_inv = np.unique(sub["row"].to_numpy(np.int64), return_inverse=True)
     workers, w_inv = np.unique(sub["worker"].to_numpy(np.int64), return_inverse=True)
@@ -37,7 +39,7 @@ def _ds_one_column(sub: pd.DataFrame, n_labels: int, max_iter: int, tol: float):
     post = (post + _SMOOTH) / (post + _SMOOTH).sum(axis=1, keepdims=True)
 
     prior = np.full(n_labels, 1.0 / n_labels)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # M: per-worker confusion matrix pi[w, true, given], accumulated per
         # observed label value (vectorised over answers sharing a label).
         pi = np.full((n_w, n_labels, n_labels), _SMOOTH)
@@ -53,20 +55,14 @@ def _ds_one_column(sub: pd.DataFrame, n_labels: int, max_iter: int, tol: float):
         log_post -= log_post.max(axis=1, keepdims=True)
         new_post = np.exp(log_post)
         new_post /= new_post.sum(axis=1, keepdims=True)
-        if np.abs(new_post - post).max() < tol:
+        if np.abs(new_post - post).max() < _TOL:
             post = new_post
             break
         post = new_post
     return rows, post.argmax(axis=1).astype(float)
 
 
-def dawid_skene(
-    answers: pd.DataFrame,
-    schema: TableSchema,
-    *,
-    max_iter: int = 50,
-    tol: float = 1e-4,
-) -> pd.DataFrame:
+def dawid_skene(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     """Per-column confusion-matrix EM over the categorical columns."""
     validate_answers(answers, schema)
     out = []
@@ -75,20 +71,14 @@ def dawid_skene(
         sub = cat[cat["col"] == j]
         if sub.empty:
             continue
-        rows, truth = _ds_one_column(sub, schema.column(j).n_labels, max_iter, tol)
+        rows, truth = _ds_one_column(sub, schema.column(j).n_labels)
         out.append(pd.DataFrame({"row": rows, "col": j, "truth": truth}))
     if not out:
         return pd.DataFrame(columns=["row", "col", "truth"])
     return pd.concat(out, ignore_index=True).sort_values(["row", "col"]).reset_index(drop=True)
 
 
-def zencrowd(
-    answers: pd.DataFrame,
-    schema: TableSchema,
-    *,
-    max_iter: int = 50,
-    tol: float = 1e-4,
-) -> pd.DataFrame:
+def zencrowd(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     """Single-reliability EM, p_u shared across all categorical columns."""
     validate_answers(answers, schema)
     cat = restrict_answers(answers, schema, "cat")
@@ -99,12 +89,12 @@ def zencrowd(
     p = np.full(len(workers), 0.8)
 
     pair_p, w = np.full(len(cells.groups.pair_label), 0.5), np.full(len(cat), 0.5)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         pair_p, new_w = cells.posterior(np.clip(p[w_inv], 1e-6, 1 - 1e-6))
         # M-step: p_u = mean posterior-correct over u's answers.
         p = np.bincount(w_inv, weights=new_w) / np.bincount(w_inv)
         p = np.clip(p, 1e-3, 1 - 1e-3)
-        if np.abs(new_w - w).max() < tol:
+        if np.abs(new_w - w).max() < _TOL:
             w = new_w
             break
         w = new_w

@@ -22,19 +22,16 @@ import pandas as pd
 from ..crowd.schema import TableSchema, restrict_answers, validate_answers
 from .cells import LabelCells
 
+_MAX_ITER = 40  # EM rounds
+_GRAD_ITERS = 20  # gradient steps per M-step
+_TOL = 1e-4  # stop once no answer's posterior moves more than this
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
-def glad(
-    answers: pd.DataFrame,
-    schema: TableSchema,
-    *,
-    max_iter: int = 40,
-    grad_iters: int = 20,
-    tol: float = 1e-4,
-) -> pd.DataFrame:
+def glad(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     """Run GLAD over all categorical cells jointly; returns (row, col, truth)."""
     validate_answers(answers, schema)
     cat = restrict_answers(answers, schema, "cat")
@@ -65,12 +62,12 @@ def glad(
         return float(val.sum()), g_ab, g_le
 
     w = np.full(len(cat), 0.5)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         _, new_w = cells.posterior(correct_prob(ability, ln_ease)[0])
         # M-step: backtracking gradient ascent on the expected ll.
         lr = 0.5
         q_cur, g_ab, g_le = q_and_grad(new_w, ability, ln_ease)
-        for _g in range(grad_iters):
+        for _g in range(_GRAD_ITERS):
             ok = False
             for _try in range(8):
                 ab2 = np.clip(ability + lr * g_ab / na, -8.0, 8.0)
@@ -84,7 +81,7 @@ def glad(
                 break
             ability, ln_ease, q_cur, g_ab, g_le = ab2, le2, q_new, g_ab2, g_le2
             lr = min(lr * 1.2, 2.0)
-        if np.abs(new_w - w).max() < tol:
+        if np.abs(new_w - w).max() < _TOL:
             w = new_w
             break
         w = new_w

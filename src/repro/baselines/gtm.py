@@ -20,14 +20,11 @@ from ..core.em import cont_posterior_arrays
 from ..crowd.schema import TableSchema, restrict_answers, validate_answers
 from .cells import cell_index
 
+_MAX_ITER = 50
+_TOL = 1e-6  # stop once no cell's truth (z-scored) moves more than this
 
-def gtm(
-    answers: pd.DataFrame,
-    schema: TableSchema,
-    *,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-) -> pd.DataFrame:
+
+def gtm(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     validate_answers(answers, schema)
     cont = restrict_answers(answers, schema, "cont")
     if cont.empty:
@@ -48,12 +45,12 @@ def gtm(
 
     var_u = np.ones(n_w)
     t_mu = np.zeros(len(rows))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # E-step: T-Crowd's Gaussian cell posterior with a N(0, 1) prior.
         new_mu, _, resid2 = cont_posterior_arrays(c_inv, z, var_u[w_inv], 0.0, 1.0)
         var_u = np.bincount(w_inv, weights=resid2, minlength=n_w) / n_per_worker
         var_u = np.maximum(var_u, 1e-6)
-        if np.abs(new_mu - t_mu).max() < tol:
+        if np.abs(new_mu - t_mu).max() < _TOL:
             t_mu = new_mu
             break
         t_mu = new_mu

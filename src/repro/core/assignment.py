@@ -267,36 +267,95 @@ class StructureAwarePolicy(InherentIGPolicy):
         return q, v
 
 
+@dataclass(frozen=True)
+class _CellVotes:
+    """Per answered cell, by ascending flat index: the answer count, the
+    share of its most frequent rounded label, the vote entropy of its
+    rounded labels, and the standard deviation of its answers."""
+
+    cells: np.ndarray
+    n: np.ndarray
+    top_share: np.ndarray
+    entropy: np.ndarray
+    sd: np.ndarray
+
+
+def _padded(group: np.ndarray, size: np.ndarray, values: np.ndarray, width: int):
+    """``values`` one row per group, zero-padded to ``width``; ``group`` is
+    ascending, and group ``g`` holds ``size[g]`` values."""
+    out = np.zeros((len(size), width))
+    out[group, np.arange(len(group)) - (np.cumsum(size) - size)[group]] = values
+    return out
+
+
+def _cell_votes(view: AssignmentView, ddof: int) -> _CellVotes:
+    """The :class:`_CellVotes` of every answered cell in one array pass.
+
+    The answers are stable-sorted by flat cell, so each cell keeps them in
+    answer order, as a pandas ``groupby`` does, and every per-cell sum is a
+    :func:`~repro.core.em.row_sum`, so the bits are those of the per-cell
+    pandas calls: the label tallies in ``value_counts`` order (count
+    descending) and the std of pandas' two-pass ``nanvar`` (mean, squared
+    deviations, their sum / (n − ``ddof``); NaN where n ≤ ``ddof``)."""
+    a = view.answers
+    flat = view.flat(a["row"], a["col"])
+    order = np.argsort(flat, kind="stable")
+    vals = a["value"].to_numpy(np.float64)[order]
+    cells, inv, n = np.unique(flat[order], return_inverse=True, return_counts=True)
+    width = n.max(initial=1)
+
+    mean = row_sum(_padded(inv, n, vals, width), n) / n
+    sq_dev = row_sum(_padded(inv, n, (mean[inv] - vals) ** 2, width), n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sd = np.where(n > ddof, np.sqrt(sq_dev / (n - ddof)), np.nan)
+
+    pairs, tally = np.unique(np.column_stack([inv, np.round(vals)]), axis=0, return_counts=True)
+    pair_cell = pairs[:, 0].astype(np.int64)
+    by_count = np.lexsort((-tally, pair_cell))
+    pair_cell, tally = pair_cell[by_count], tally[by_count]
+    n_labels = np.bincount(pair_cell, minlength=len(cells))
+    share = _padded(pair_cell, n_labels, tally / n[pair_cell], width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = -row_sum(share * np.log(share), n_labels)
+    return _CellVotes(cells, n, share[:, 0], entropy, sd)
+
+
+def _column_sd(view: AssignmentView, ddof: int, floor: float) -> np.ndarray:
+    """Per column, the std of its answers, 1.0 where that is 0 and at least
+    ``floor``; NaN for a column with too few answers."""
+    a = view.answers
+    sd = np.full(view.schema.n_cols, np.nan)
+    for j in view.schema.continuous_idx:
+        sd[j] = max(float(a.loc[a["col"] == j, "value"].std(ddof=ddof) or 1.0), floor)
+    return sd
+
+
+_P_TERM = 0.8  # CDAS terminates a categorical cell at this majority share
+_CI_FRAC = 0.25  # ... and a continuous one at this CI half-width / column std
+
+
 class CdasPolicy:
     """CDAS: cells whose estimate is confident are terminated; the rest are
     assigned at random. Confidence comes from the simple vote/CI model CDAS
-    uses (not from T-Crowd): majority fraction ≥ ``p_term`` (categorical) or
-    mean-CI half-width ≤ ``ci_frac`` × column std (continuous)."""
+    uses (not from T-Crowd): majority fraction ≥ ``_P_TERM`` (categorical)
+    or mean-CI half-width ≤ ``_CI_FRAC`` × column std (continuous), for a
+    cell with two answers or more."""
 
-    def __init__(self, p_term: float = 0.8, ci_frac: float = 0.25, seed: int = 0):
-        self.p_term = p_term
-        self.ci_frac = ci_frac
+    def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
 
     def _terminated(self, view: AssignmentView) -> np.ndarray:
         """Flat mask of the terminated cells."""
+        v = _cell_votes(view, ddof=1)
+        col = v.cells % view.schema.n_cols
+        half = 1.96 * v.sd / np.sqrt(v.n)
+        confident = np.where(
+            np.isin(col, view.schema.categorical_idx),
+            v.top_share >= _P_TERM,
+            half <= _CI_FRAC * _column_sd(view, 1, 1e-9)[col],
+        )
         term = np.zeros(view.n_cells, dtype=bool)
-        a = view.answers
-        cat = set(view.schema.categorical_idx)
-        col_sd = {
-            j: max(float(a.loc[a["col"] == j, "value"].std() or 1.0), 1e-9)
-            for j in view.schema.continuous_idx
-        }
-        for (row, col), grp in a.groupby(["row", "col"]):
-            n = len(grp)
-            if n < 2:
-                continue
-            if col in cat:
-                frac = grp["value"].round().value_counts().iloc[0] / n
-                term[view.flat(row, col)] = frac >= self.p_term
-            else:
-                half = 1.96 * float(grp["value"].std(ddof=1) or 0.0) / np.sqrt(n)
-                term[view.flat(row, col)] = half <= self.ci_frac * col_sd[col]
+        term[v.cells] = (v.n >= 2) & confident
         return term
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
@@ -317,23 +376,21 @@ class AskItPolicy:
     cells (< 2 answers) fall back to the column-level spread.
     """
 
+    def _uncertainty(self, view: AssignmentView) -> np.ndarray:
+        """Per flat cell; ``+inf`` for an unanswered cell, the most
+        uncertain."""
+        v = _cell_votes(view, ddof=0)
+        col = v.cells % view.schema.n_cols
+        col_sd = _column_sd(view, 0, 1e-6)[col]
+        # Agreement is not certainty: a cell's spread is at least 5 % of its column's.
+        sd = np.where(v.n >= 2, np.maximum(v.sd, 0.05 * col_sd), col_sd)
+        unc = np.full(view.n_cells, np.inf)
+        unc[v.cells] = np.where(
+            np.isin(col, view.schema.categorical_idx),
+            v.entropy,
+            np.log(np.maximum(sd, 1e-6)),
+        )
+        return unc
+
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
-        a = view.answers
-        cat = set(view.schema.categorical_idx)
-        col_sd = {
-            j: max(float(a.loc[a["col"] == j, "value"].std(ddof=0) or 1.0), 1e-6)
-            for j in view.schema.continuous_idx
-        }
-        unc = np.full(view.n_cells, np.inf)  # an unanswered cell is the most uncertain
-        for (row, col), grp in a.groupby(["row", "col"]):
-            if col in cat:
-                p = grp["value"].round().value_counts(normalize=True).to_numpy()
-                unc[view.flat(row, col)] = -float(np.sum(p * np.log(p)))
-            else:
-                if len(grp) >= 2:
-                    sd = float(grp["value"].std(ddof=0) or 0.0)
-                    sd = max(sd, 0.05 * col_sd[col])  # agreement ≠ certainty
-                else:
-                    sd = col_sd[col]
-                unc[view.flat(row, col)] = float(np.log(max(sd, 1e-6)))
-        return _top_k(view, worker, -unc, k)
+        return _top_k(view, worker, -self._uncertainty(view), k)

@@ -47,12 +47,14 @@ from ..crowd.stats import erf
 _Q_CLIP = 1e-9
 _LN_CLAMP = 14.0
 
-# Hyper-parameter defaults, shared by tcrowd_em, m_step, the Spark engine and
-# the assignment view.
+# The model's constants, read by both engines and the assignment policies;
+# only MAX_ITER is a default a caller may override (DESIGN.md §5).
 EPS = 1.0  # ε of Eq. 2 (DESIGN.md §5)
 MAX_ITER = 40
 TOL = 1e-3  # EM stops when no log-parameter moves more than this
 GRAD_ITERS = 25  # gradient steps per M-step
+LR0 = 0.3  # first gradient step size of an M-step
+M_TOL = 1e-5  # an M-step stops when no log-parameter moves more than this
 REG_ALPHA = 2.0  # ridge on ln α_i (see q_objective)
 REG_PHI = 0.5  # ridge on ln φ_u
 
@@ -251,7 +253,7 @@ def label_posteriors(groups: CatGroups, delta: np.ndarray, n_un: np.ndarray):
     return ex / z[cell_inv], np.exp(-mx) / z
 
 
-def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: float):
+def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int):
     """Label posterior per cell of one categorical column.
 
     Returns ``(pair_p, p0, w_per_answer, q_per_answer)``: the posterior of
@@ -259,7 +261,7 @@ def cat_posterior_arrays(groups: CatGroups, v: np.ndarray, n_labels: int, eps: f
     each of its unanswered labels, and per answer the posterior probability
     ``w`` that it equals the truth (the M-step sufficient statistic).
     """
-    t = eps / np.sqrt(2.0 * v)
+    t = EPS / np.sqrt(2.0 * v)
     q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
     delta = np.log(q) - np.log((1.0 - q) / (n_labels - 1))
     pair_p, p0 = label_posteriors(groups, delta, n_labels - groups.n_answered)
@@ -291,7 +293,7 @@ def split_by_kind(stats: dict, keys: tuple = _SPLIT_KEYS) -> dict:
 def q_objective(
     stats: dict,
     state: EMState,
-    eps: float,
+    *,
     reg_alpha: float = 0.0,
     reg_phi: float = 0.0,
 ):
@@ -329,7 +331,7 @@ def q_objective(
         g[cont["idx"]] = -0.5 + s / (2.0 * vc)
     cat = by_kind["cat"]
     if len(cat["idx"]):
-        t = eps / np.sqrt(2.0 * v_of(cat))
+        t = EPS / np.sqrt(2.0 * v_of(cat))
         q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
         wc, nlc = cat["w"], cat["n_labels"]
         qv[cat["idx"]] = wc * np.log(q) + (1.0 - wc) * np.log((1.0 - q) / (nlc - 1))
@@ -343,17 +345,16 @@ def q_objective(
     return total, g
 
 
-def m_step(
-    stats: dict,
-    state: EMState,
-    eps: float,
-    *,
-    grad_iters: int = GRAD_ITERS,
-    lr0: float = 0.3,
-    tol: float = 1e-5,
-    reg_alpha: float = REG_ALPHA,
-    reg_phi: float = REG_PHI,
-) -> tuple[EMState, float]:
+def _clamped(x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``x + step`` clipped to ±``_LN_CLAMP``, except that a coordinate
+    already beyond the clamp is not pulled back across it: the
+    renormalisation in :func:`m_step` can leave ln β past −``_LN_CLAMP``
+    (a column whose answers all agree), and clipping it back to the clamp
+    in every candidate lowers Q, so no step would ever be accepted."""
+    return np.clip(x + step, np.minimum(x, -_LN_CLAMP), np.maximum(x, _LN_CLAMP))
+
+
+def m_step(stats: dict, state: EMState) -> tuple[EMState, float]:
     """Gradient ascent on Q in log-parameter space with backtracking.
 
     Per-answer gradients w.r.t. ``ln v`` scatter-add to ``ln α_i``,
@@ -366,21 +367,21 @@ def m_step(
     na = np.maximum(np.bincount(r, minlength=n), 1)
     nb = np.maximum(np.bincount(c, minlength=m), 1)
     np_ = np.maximum(np.bincount(u, minlength=u_n), 1)
-    lr = lr0
-    q_cur, g = q_objective(stats, st, eps, reg_alpha, reg_phi)
-    for _ in range(grad_iters):
-        ga = np.bincount(r, weights=g, minlength=n) - 2.0 * reg_alpha * st.ln_alpha
+    lr = LR0
+    q_cur, g = q_objective(stats, st, reg_alpha=REG_ALPHA, reg_phi=REG_PHI)
+    for _ in range(GRAD_ITERS):
+        ga = np.bincount(r, weights=g, minlength=n) - 2.0 * REG_ALPHA * st.ln_alpha
         gb = np.bincount(c, weights=g, minlength=m)
-        gp = np.bincount(u, weights=g, minlength=u_n) - 2.0 * reg_phi * st.ln_phi
+        gp = np.bincount(u, weights=g, minlength=u_n) - 2.0 * REG_PHI * st.ln_phi
         step_a, step_b, step_p = ga / na, gb / nb, gp / np_
         accepted = False
         for _try in range(10):
             cand = EMState(
-                np.clip(st.ln_alpha + lr * step_a, -_LN_CLAMP, _LN_CLAMP),
-                np.clip(st.ln_beta + lr * step_b, -_LN_CLAMP, _LN_CLAMP),
-                np.clip(st.ln_phi + lr * step_p, -_LN_CLAMP, _LN_CLAMP),
+                _clamped(st.ln_alpha, lr * step_a),
+                _clamped(st.ln_beta, lr * step_b),
+                _clamped(st.ln_phi, lr * step_p),
             )
-            q_new, g_new = q_objective(stats, cand, eps, reg_alpha)
+            q_new, g_new = q_objective(stats, cand, reg_alpha=REG_ALPHA)
             if q_new >= q_cur - 1e-12:
                 accepted = True
                 break
@@ -390,7 +391,7 @@ def m_step(
         moved = max_move(cand, st)
         st, q_cur, g = cand, q_new, g_new
         lr = min(lr * 1.3, 2.0)
-        if moved < tol:
+        if moved < M_TOL:
             break
     # Renormalise the two scale freedoms into β.
     ma = st.ln_alpha.mean()
@@ -441,9 +442,9 @@ def init_params(
     return priors, EMState(np.zeros(n_rows), ln_beta, np.zeros(n_workers))
 
 
-def em_loop(step, state: EMState, max_iter: int, tol: float):
+def em_loop(step, state: EMState, max_iter: int):
     """Alternate E and M steps: ``step(state)`` returns ``(new_state, Q)``.
-    Stops once no log-parameter moves by ``tol`` or more, or after
+    Stops once no log-parameter moves by ``TOL`` or more, or after
     ``max_iter`` steps. Returns ``(state, n_iters, converged, q_trace)``."""
     q_trace: list[float] = []
     it = 0
@@ -452,14 +453,14 @@ def em_loop(step, state: EMState, max_iter: int, tol: float):
         q_trace.append(q_val)
         moved = max_move(new_state, state)
         state = new_state
-        if moved < tol:
+        if moved < TOL:
             return state, it, True, q_trace
     return state, it, False, q_trace
 
 
-def worker_quality(state: EMState, eps: float) -> np.ndarray:
+def worker_quality(state: EMState) -> np.ndarray:
     """Worker quality q_u = erf(ε/√(2 φ_u)), Eq. 2 at α_i β_j = 1."""
-    return np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
+    return np.asarray(erf(EPS / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -512,7 +513,6 @@ def run_estep(
     layout: AnswerLayout,
     state: EMState,
     priors: dict,
-    eps: float,
     *,
     posteriors: bool = True,
 ):
@@ -531,7 +531,7 @@ def run_estep(
     w = np.zeros(len(layout.row))
     cont_rows, cat_parts = [], []
     for j, idx, n_labels, groups in layout.cat_cols:
-        pair_p, p0, w[idx], _ = cat_posterior_arrays(groups, v_all[idx], n_labels, eps)
+        pair_p, p0, w[idx], _ = cat_posterior_arrays(groups, v_all[idx], n_labels)
         if posteriors:
             cat_parts.append((j, n_labels, groups, pair_p, p0))
     for j, idx, vals, inv, cell_rows in layout.cont_cols:
@@ -617,18 +617,18 @@ def tcrowd_em(
     layout = AnswerLayout.build(answers, schema)
 
     def step(st: EMState):
-        _, _, stats = run_estep(layout, st, priors, EPS, posteriors=False)
-        return m_step(stats, st, EPS)
+        _, _, stats = run_estep(layout, st, priors, posteriors=False)
+        return m_step(stats, st)
 
-    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, TOL)
+    state, n_iters, converged, q_trace = em_loop(step, state, max_iter)
     # Final E-step with the converged parameters.
-    cont_cells, cat_cells, _ = run_estep(layout, state, priors, EPS)
+    cont_cells, cat_cells, _ = run_estep(layout, state, priors)
     return TCrowdResult(
         state=state,
         truth=result_truth(cont_cells, cat_cells),
         cont_cells=cont_cells,
         cat_cells=cat_cells,
-        worker_quality=worker_quality(state, EPS),
+        worker_quality=worker_quality(state),
         n_iters=n_iters,
         converged=converged,
         q_trace=q_trace,

@@ -34,9 +34,7 @@ from pyspark.sql import functions as F
 
 from ..crowd.schema import TRUTH_SPARK_SCHEMA, TableSchema
 from .em import (
-    EPS,
     MAX_ITER,
-    TOL,
     AnswerLayout,
     EMState,
     em_loop,
@@ -57,9 +55,7 @@ _STATS = {
 _STATS_SCHEMA = ", ".join(f"{k} {sql}" for k, (_, sql) in _STATS.items())
 
 
-def _estep_kernel(
-    state: EMState, schema: TableSchema, priors: dict, eps: float, posteriors: bool
-):
+def _estep_kernel(state: EMState, schema: TableSchema, priors: dict, posteriors: bool):
     """Kernel for ``applyInPandas``: :func:`run_estep` over one column's
     answers, sorted by ``(row, worker)``. Returns the ``_STATS`` columns, one
     row per answer, or with ``posteriors`` the :func:`result_truth` rows."""
@@ -67,7 +63,7 @@ def _estep_kernel(
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values(["row", "worker"], kind="stable").reset_index(drop=True)
         cont_cells, cat_cells, stats = run_estep(
-            AnswerLayout.build(pdf, schema), state, priors, eps, posteriors=posteriors
+            AnswerLayout.build(pdf, schema), state, priors, posteriors=posteriors
         )
         if posteriors:
             return result_truth(cont_cells, cat_cells)
@@ -81,12 +77,11 @@ def spark_estep(
     state: EMState,
     schema: TableSchema,
     priors: dict,
-    eps: float,
     *,
     posteriors: bool = False,
 ) -> DataFrame:
     """The E-step dataflow: one :func:`run_estep` per column."""
-    kernel = _estep_kernel(state, schema, priors, eps, posteriors)
+    kernel = _estep_kernel(state, schema, priors, posteriors)
     out_schema = TRUTH_SPARK_SCHEMA if posteriors else _STATS_SCHEMA
     return answers.groupBy("col").applyInPandas(kernel, out_schema)
 
@@ -123,17 +118,17 @@ def tcrowd_em_spark(
     )
 
     def step(st: EMState):
-        pdf = spark_estep(answers, st, schema, priors, EPS).toPandas()
+        pdf = spark_estep(answers, st, schema, priors).toPandas()
         stats = {k: pdf[k].to_numpy(dtype) for k, (dtype, _) in _STATS.items()}
         stats["by_kind"] = split_by_kind(stats)
-        return m_step(stats, st, EPS)
+        return m_step(stats, st)
 
-    state, n_iters, converged, q_trace = em_loop(step, state, max_iter, TOL)
-    truth = spark_estep(answers, state, schema, priors, EPS, posteriors=True)
+    state, n_iters, converged, q_trace = em_loop(step, state, max_iter)
+    truth = spark_estep(answers, state, schema, priors, posteriors=True)
     return SparkEMResult(
         truth=truth.orderBy("row", "col"),
         state=state,
-        worker_quality=worker_quality(state, EPS),
+        worker_quality=worker_quality(state),
         n_iters=n_iters,
         converged=converged,
         q_trace=q_trace,

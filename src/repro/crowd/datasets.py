@@ -39,14 +39,11 @@ def _build(
     n_workers: int,
     n_per_task: int,
     seed: int,
-    **sim_kwargs,
 ) -> CrowdDataset:
     g = np.random.default_rng(seed)
     truth = _uniform_truth(schema, n_rows, g)
     pool = make_pool(n_workers, seed=seed + 1)
-    return simulate_answers(
-        schema, truth, pool, n_per_task=n_per_task, seed=seed + 2, **sim_kwargs
-    )
+    return simulate_answers(schema, truth, pool, n_per_task=n_per_task, seed=seed + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +119,10 @@ REAL_DATASETS = {
 # §6.5.1 parametric generator.
 # ---------------------------------------------------------------------------
 
-def synthetic_schema(
-    m: int, cat_ratio: float, seed: int, *, max_labels: int = 10
-) -> TableSchema:
+_MAX_LABELS = 10
+
+
+def synthetic_schema(m: int, cat_ratio: float, seed: int) -> TableSchema:
     """M columns, ``round(M * cat_ratio)`` categorical with |L| ~ U(2, 10),
     remaining continuous on [0, 1000] — exactly the §6.5 generator."""
     g = np.random.default_rng(seed)
@@ -133,7 +131,7 @@ def synthetic_schema(
     for j in range(m):
         if j < n_cat:
             cols.append(
-                ColumnSpec(f"c{j}", CATEGORICAL, n_labels=int(g.integers(2, max_labels + 1)))
+                ColumnSpec(f"c{j}", CATEGORICAL, n_labels=int(g.integers(2, _MAX_LABELS + 1)))
             )
         else:
             cols.append(ColumnSpec(f"c{j}", CONTINUOUS, domain=(0.0, 1000.0)))

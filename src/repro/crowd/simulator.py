@@ -2,7 +2,8 @@
 
 :class:`HiddenWorld` holds the hidden generative state (ground truth, worker
 pool, difficulties) and produces answers on demand for any (worker, row,
-col), using the same model as :func:`repro.crowd.workers.simulate_answers`
+col), using the same model, and the same constants of
+:mod:`repro.crowd.workers`, as :func:`~repro.crowd.workers.simulate_answers`
 (Eqs. 1/3 + spammers + per-(worker,row) recognition factor + correlated
 span shifts). The per-(worker,row) latent factors are memoised so a worker
 revisiting a row behaves consistently.
@@ -23,9 +24,12 @@ import pandas as pd
 from ..core.assignment import AssignmentView
 from ..core.correlation import fit_error_model
 from ..core.em import MAX_ITER, EMState, tcrowd_em
+from . import workers
 from .metrics import error_rate, mnad
 from .schema import CrowdDataset, TableSchema
-from .workers import EPSILON, WorkerPool, default_beta
+from .workers import EPSILON, WorkerPool, default_beta, participation_weights
+
+FULL_EM_EVERY = 25  # arrivals between full EM re-inferences and error-model refits
 
 
 @dataclass
@@ -38,11 +42,8 @@ class HiddenWorld:
     alpha: np.ndarray
     beta: np.ndarray
     seed: int = 0
-    p_unfamiliar: float = 0.15
-    unfamiliar_factor: float = 9.0
-    corr_shift_std: float = 0.6
-    _recog: dict = field(default_factory=dict, repr=False)
-    _shift: dict = field(default_factory=dict, repr=False)
+    _recog: dict = field(init=False, default_factory=dict, repr=False)
+    _shift: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)
@@ -54,14 +55,14 @@ class HiddenWorld:
     def _recog_factor(self, worker: int, row: int) -> float:
         key = (worker, row)
         if key not in self._recog:
-            bad = self.rng.random() < self.p_unfamiliar
-            self._recog[key] = self.unfamiliar_factor if bad else 1.0
+            bad = self.rng.random() < workers.P_UNFAMILIAR
+            self._recog[key] = workers.UNFAMILIAR_FACTOR if bad else 1.0
         return self._recog[key]
 
     def _group_shift(self, worker: int, row: int, group: str) -> float:
         key = (worker, row, group)
         if key not in self._shift:
-            self._shift[key] = self.rng.normal(0.0, self.corr_shift_std)
+            self._shift[key] = self.rng.normal(0.0, workers.CORR_SHIFT_STD)
         return self._shift[key]
 
     def answer(self, worker: int, row: int, col: int) -> float:
@@ -126,11 +127,8 @@ def world_from_dataset(ds: CrowdDataset, seed: int = 0) -> HiddenWorld:
 class SimConfig:
     batch_size: int = 5
     max_answers_per_task: float = 4.0
-    init_answers_per_task: int = 1
     checkpoints: tuple = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-    reinfer_em_iters: int = 3
-    full_em_every: int = 25
-    participation_skew: float = 0.8
+    reinfer_em_iters: int = 3  # EM iterations of a warm re-inference
     seed: int = 0
 
 
@@ -160,21 +158,18 @@ def run_simulation(
     recs: list[dict] = []
     answers: list[tuple] = []  # (worker, row, col, value)
 
-    ranks = np.arange(1, world.pool.n_workers + 1, dtype=np.float64)
-    pw = ranks ** (-config.participation_skew)
-    pw /= pw.sum()
+    pw = participation_weights(world.pool.n_workers)
 
     def collect(worker: int, cells: list[tuple[int, int]]):
         for row, col in cells:
             val = world.answer(worker, row, col)
             answers.append((worker, row, col, val))
 
-    # Bootstrap: every task gets `init_answers_per_task` answers (Alg. 2
-    # line 1), collected row-wise like HITs.
-    for _ in range(config.init_answers_per_task):
-        for row in range(n_rows):
-            w = int(rng.choice(world.pool.n_workers, p=pw))
-            collect(w, [(row, j) for j in range(n_cols)])
+    # Bootstrap: every task gets one answer (Alg. 2 line 1), collected
+    # row-wise like HITs.
+    for row in range(n_rows):
+        w = int(rng.choice(world.pool.n_workers, p=pw))
+        collect(w, [(row, j) for j in range(n_cols)])
 
     def answers_df() -> pd.DataFrame:
         return pd.DataFrame(answers, columns=["worker", "row", "col", "value"])
@@ -216,7 +211,7 @@ def run_simulation(
         worker = int(rng.choice(world.pool.n_workers, p=pw))
         df = answers_df()
         if needs_model:
-            if step % config.full_em_every == 0:
+            if step % FULL_EM_EVERY == 0:
                 res = infer(df, res.state, True)
                 err_model = fit_error_model(df, res.truth, schema)
             else:

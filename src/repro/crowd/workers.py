@@ -8,8 +8,8 @@ to see, so the comparison is not a tautology:
 * a **spammer fraction**: spammers answer uniformly at random regardless of
   the cell (the long-tail quality distribution the CATD paper targets);
 * a per-(worker, row) **recognition factor**: with probability
-  ``p_unfamiliar`` a worker "does not recognise the entity" and all of their
-  answers on that row degrade (variance × ``unfamiliar_factor``). This is
+  ``P_UNFAMILIAR`` a worker "does not recognise the entity" and all of their
+  answers on that row degrade (variance × ``UNFAMILIAR_FACTOR``). This is
   exactly the motivating example in §1 (worker u3 and James Purefoy) and is
   what the structure-aware assignment of §5.2 exploits;
 * a shared additive error component for continuous columns in the same
@@ -19,6 +19,9 @@ to see, so the comparison is not a tautology:
 Assignment granularity follows the paper's HIT layout: one HIT = one row
 (the number of tasks per HIT equals the number of columns), so a worker
 answering row i answers every cell of row i.
+
+The constants below define the hidden crowd, for the batch datasets drawn
+here and for the online world of :mod:`repro.crowd.simulator` alike.
 """
 from __future__ import annotations
 
@@ -34,6 +37,15 @@ EPSILON = 1.0
 """Global ε of Eq. 2. Column difficulty β_j absorbs scale, so ε only fixes
 the parameterisation of worker quality; the paper does not publish a value."""
 
+SPAMMER_FRAC = 0.10  # share of workers who answer uniformly at random
+PHI_LOG_MU, PHI_LOG_SIGMA = -0.7, 1.2  # φ_u ~ lognormal(μ, σ)
+REL_ERR = 0.06  # average worker's answer std, as a share of the domain width
+ALPHA_SIGMA = 0.5  # α_i ~ lognormal(0, σ) unless the caller gives α
+P_UNFAMILIAR = 0.15  # chance a worker does not recognise a row's entity
+UNFAMILIAR_FACTOR = 9.0  # variance multiplier on such a row
+CORR_SHIFT_STD = 0.6  # std of a corr_group's shared shift, in answer stds
+PARTICIPATION_SKEW = 0.8  # worker of rank r is drawn ∝ r^(-skew)
+
 
 @dataclass(frozen=True)
 class WorkerPool:
@@ -47,27 +59,31 @@ class WorkerPool:
         return len(self.phi)
 
 
-def make_pool(
-    n_workers: int,
-    *,
-    seed: int,
-    spammer_frac: float = 0.10,
-    phi_log_mu: float = -0.7,
-    phi_log_sigma: float = 1.2,
-) -> WorkerPool:
+def make_pool(n_workers: int, *, seed: int) -> WorkerPool:
     """Long-tail worker pool: φ_u lognormal (most workers decent, a heavy
     tail of bad ones) plus a small spammer fraction."""
     g = np.random.default_rng(seed)
-    phi = g.lognormal(phi_log_mu, phi_log_sigma, n_workers)
-    is_spammer = g.random(n_workers) < spammer_frac
+    phi = g.lognormal(PHI_LOG_MU, PHI_LOG_SIGMA, n_workers)
+    is_spammer = g.random(n_workers) < SPAMMER_FRAC
     return WorkerPool(phi=phi, is_spammer=is_spammer)
 
 
-def default_beta(schema: TableSchema, rel_err: float = 0.06) -> np.ndarray:
+def participation_weights(n_workers: int) -> np.ndarray:
+    """Long-tail participation (a few workers answer many HITs, most answer
+    few — the regime CATD targets and the paper's "long-tail distribution"
+    of crowdsourced answers): the probability of drawing the worker of rank
+    ``r`` is ∝ r^(-``PARTICIPATION_SKEW``)."""
+    ranks = np.arange(1, n_workers + 1, dtype=np.float64)
+    pw = ranks ** (-PARTICIPATION_SKEW)
+    pw /= pw.sum()
+    return pw
+
+
+def default_beta(schema: TableSchema) -> np.ndarray:
     """Hidden column difficulties β_j.
 
     For a continuous column, β_j carries the column's *scale*: an average
-    worker (φ=1, α=1) has answer std ≈ ``rel_err`` × domain width. For a
+    worker (φ=1, α=1) has answer std ≈ ``REL_ERR`` × domain width. For a
     categorical column β_j = 1, giving q = erf(1/√2) ≈ 0.68 for the average
     worker before row effects.
     """
@@ -75,7 +91,7 @@ def default_beta(schema: TableSchema, rel_err: float = 0.06) -> np.ndarray:
     for j, c in enumerate(schema.columns):
         if c.kind == CONTINUOUS:
             lo, hi = c.domain
-            beta[j] = (rel_err * (hi - lo)) ** 2
+            beta[j] = (REL_ERR * (hi - lo)) ** 2
     return beta
 
 
@@ -88,24 +104,16 @@ def simulate_answers(
     seed: int,
     row_alpha: np.ndarray | None = None,
     col_beta: np.ndarray | None = None,
-    p_unfamiliar: float = 0.15,
-    unfamiliar_factor: float = 9.0,
-    corr_shift_std: float = 0.6,
-    alpha_sigma: float = 0.5,
-    participation_skew: float = 0.8,
 ) -> CrowdDataset:
     """Draw the full answer relation from the generative model.
 
-    ``participation_skew`` makes worker participation long-tail (a few
-    workers answer many HITs, most answer few — the regime CATD targets and
-    the paper's "long-tail distribution" of crowdsourced answers): each
-    row's ``n_per_task`` distinct workers are drawn with probability
-    ∝ rank^(-skew). 0 = uniform.
+    Each row's ``n_per_task`` distinct workers are drawn with the
+    :func:`participation_weights`.
     """
     g = np.random.default_rng(seed)
     n_rows = int(truth["row"].max()) + 1
     m = schema.n_cols
-    alpha = row_alpha if row_alpha is not None else g.lognormal(0.0, alpha_sigma, n_rows)
+    alpha = row_alpha if row_alpha is not None else g.lognormal(0.0, ALPHA_SIGMA, n_rows)
     beta = col_beta if col_beta is not None else default_beta(schema)
 
     truth_grid = (
@@ -114,9 +122,7 @@ def simulate_answers(
         .to_numpy()
     )
 
-    ranks = np.arange(1, pool.n_workers + 1, dtype=np.float64)
-    pw = ranks ** (-participation_skew)
-    pw /= pw.sum()
+    pw = participation_weights(pool.n_workers)
     pairs = []
     for i in range(n_rows):
         ws = g.choice(
@@ -132,13 +138,13 @@ def simulate_answers(
         np.array([p[1] for p in pairs], dtype=np.int64),
     )
     # Per-(worker,row) recognition factor — shared across the row's cells.
-    recog = np.where(g.random(len(pairs)) < p_unfamiliar, unfamiliar_factor, 1.0)
+    recog = np.where(g.random(len(pairs)) < P_UNFAMILIAR, UNFAMILIAR_FACTOR, 1.0)
     # Shared signed shift per (worker,row) per corr_group, in units of the
     # answer's own std (so it scales with worker quality and correlates the
     # signed errors of grouped continuous columns without distorting the
     # quality ordering — §6.4.3's start/end-target effect).
     groups = sorted({c.corr_group for c in schema.columns if c.corr_group})
-    shift_by_group = {grp: g.normal(0.0, corr_shift_std, len(pairs)) for grp in groups}
+    shift_by_group = {grp: g.normal(0.0, CORR_SHIFT_STD, len(pairs)) for grp in groups}
 
     out_rows, out_cols, out_workers, out_vals = [], [], [], []
     for j, cspec in enumerate(schema.columns):

@@ -34,11 +34,11 @@ def dataset_stats_spark(answers: DataFrame) -> DataFrame:
     )
 
 
-def build_table6(spark: SparkSession, seed_offset: int = 0) -> pd.DataFrame:
+def build_table6(spark: SparkSession) -> pd.DataFrame:
     """Generate the three datasets and compute their Table 6 statistics."""
     recs = []
     for name, gen in datasets.REAL_DATASETS.items():
-        ds = gen(seed=datasets.BASE_SEED[name] + seed_offset)
+        ds = gen(seed=datasets.BASE_SEED[name])
         a_df, _ = ds.to_spark(spark)
         row = dataset_stats_spark(a_df).first().asDict()
         row["dataset"] = name.capitalize()

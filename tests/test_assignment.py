@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import assignment
 from repro.core.assignment import (
     _EPS_Q,
     AskItPolicy,
@@ -367,6 +368,82 @@ class TestGainsEqualReference:
                 assert _by_cell(view2, policy.gains(view2, worker)) == ref(view2, worker)
 
 
+def _ref_cdas_terminated(view: AssignmentView) -> np.ndarray:
+    """CDAS's confidence test as a loop over a pandas ``groupby`` of the
+    cells, the code the array pass replaced."""
+    term = np.zeros(view.n_cells, dtype=bool)
+    a = view.answers
+    cat = set(view.schema.categorical_idx)
+    col_sd = {
+        j: max(float(a.loc[a["col"] == j, "value"].std() or 1.0), 1e-9)
+        for j in view.schema.continuous_idx
+    }
+    for (row, col), grp in a.groupby(["row", "col"]):
+        n = len(grp)
+        if n < 2:
+            continue
+        if col in cat:
+            frac = grp["value"].round().value_counts().iloc[0] / n
+            term[view.flat(row, col)] = frac >= assignment._P_TERM
+        else:
+            half = 1.96 * float(grp["value"].std(ddof=1) or 0.0) / np.sqrt(n)
+            term[view.flat(row, col)] = half <= assignment._CI_FRAC * col_sd[col]
+    return term
+
+
+def _ref_askit_uncertainty(view: AssignmentView) -> np.ndarray:
+    """AskIt!'s uncertainty as the same per-cell loop."""
+    a = view.answers
+    cat = set(view.schema.categorical_idx)
+    col_sd = {
+        j: max(float(a.loc[a["col"] == j, "value"].std(ddof=0) or 1.0), 1e-6)
+        for j in view.schema.continuous_idx
+    }
+    unc = np.full(view.n_cells, np.inf)
+    for (row, col), grp in a.groupby(["row", "col"]):
+        if col in cat:
+            p = grp["value"].round().value_counts(normalize=True).to_numpy()
+            unc[view.flat(row, col)] = -float(np.sum(p * np.log(p)))
+        else:
+            if len(grp) >= 2:
+                sd = float(grp["value"].std(ddof=0) or 0.0)
+                sd = max(sd, 0.05 * col_sd[col])
+            else:
+                sd = col_sd[col]
+            unc[view.flat(row, col)] = float(np.log(max(sd, 1e-6)))
+    return unc
+
+
+@pytest.fixture(scope="module")
+def crowded_view(restaurant_ds):
+    """Restaurant's answers, thinned, plus copies of those of rows 0-119
+    under new worker ids: 0 to 16 answers per cell, in no order, so some
+    per-cell sums have 8 terms or more (which numpy adds pairwise)."""
+    a = restaurant_ds.answers
+    dense = a[a["row"] < 120]
+    parts = [a.sample(frac=0.3, random_state=0)]
+    parts += [
+        dense.sample(frac=0.9, random_state=k).assign(worker=dense["worker"] + 1000 * k)
+        for k in (1, 2, 3)
+    ]
+    answers = pd.concat(parts, ignore_index=True).sample(frac=1.0, random_state=4)
+    return AssignmentView(restaurant_ds.schema, restaurant_ds.n_rows, answers)
+
+
+class TestVoteModelsEqualReference:
+    """CDAS and AskIt! score every cell exactly as the per-cell loop does."""
+
+    @pytest.mark.parametrize("which", ["view", "crowded_view"])
+    def test_cdas_terminated(self, which, request):
+        v = request.getfixturevalue(which)
+        assert CdasPolicy()._terminated(v).tolist() == _ref_cdas_terminated(v).tolist()
+
+    @pytest.mark.parametrize("which", ["view", "crowded_view"])
+    def test_askit_uncertainty(self, which, request):
+        v = request.getfixturevalue(which)
+        assert AskItPolicy()._uncertainty(v).tolist() == _ref_askit_uncertainty(v).tolist()
+
+
 class TestUniformEntropy:
     def test_covers_all_cells(self, view, tiny_ds):
         ent = uniform_entropy(view)
@@ -490,8 +567,9 @@ class TestPolicies:
             view2, w
         ).tolist()
 
-    def test_cdas_terminates_confident_cells(self, view):
-        pol = CdasPolicy(p_term=0.5, seed=0)
+    def test_cdas_terminates_confident_cells(self, view, monkeypatch):
+        monkeypatch.setattr(assignment, "_P_TERM", 0.5)
+        pol = CdasPolicy(seed=0)
         term = pol._terminated(view).reshape(view.n_rows, -1)
         # With 3 answers/cell, plenty of categorical cells have a ≥ 2/3
         # majority → terminated.

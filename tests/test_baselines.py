@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+import repro.baselines.catd as catd_module
 from repro.baselines.catd import catd, catd_weights
 from repro.baselines.crh import crh
 from repro.baselines.ds import dawid_skene, zencrowd
@@ -137,28 +138,32 @@ class TestAccuracy:
 
 
 class TestCatd:
-    def test_small_source_down_weighted(self):
-        # Two workers with identical loss rates; the one with fewer answers
-        # must get a smaller weight (the χ² upper-confidence effect).
+    def test_small_source_down_weighted(self, monkeypatch):
+        # Workers 0 (40 answers) and 1 (5 answers) each miss by ±1 on rows
+        # of their own, which an anchor worker answers exactly. From the
+        # median start both lose the same per answer, so in every round of
+        # catd the 5-answer worker must get the smaller weight: the lower
+        # χ² quantile gives it 0.27x at equal loss, the upper one 1.7x.
         schema = TableSchema(columns=(ColumnSpec("x", CONTINUOUS),))
-        rng = np.random.default_rng(0)
-        rows = []
-        for i in range(40):
-            rows.append((0, i, 0, 10.0 + rng.normal(0, 1)))
-        for i in range(5):
-            rows.append((1, i, 0, 10.0 + rng.normal(0, 1)))
-        for i in range(40):  # anchor worker pinning the truth
-            rows.append((2, i, 0, 10.0))
+        rows = [(0, i, 0, 10.0 + (-1) ** i) for i in range(40)]
+        rows += [(1, i, 0, 10.0 + (-1) ** i) for i in range(40, 45)]
+        rows += [(2, i, 0, 10.0) for i in range(45)]
         a = pd.DataFrame(rows, columns=["worker", "row", "col", "value"])
-        from repro.crowd.stats import chi2_ppf
+        rounds = []
 
-        # CATD weight ∝ chi2_ppf(.975, n)/loss: for equal per-answer loss,
-        # w_small/w_big = [chi2(n_s)/n_s] / [chi2(n_b)/n_b] > 1 is NOT the
-        # claim — the claim is about the *upper confidence of variance*:
-        # chi2_ppf(0.975, 5)/5 > chi2_ppf(0.975, 40)/40, i.e. the small
-        # source's weight is inflated LESS aggressively relative to its
-        # noisy loss estimate. Verify the ratio ordering directly.
-        assert chi2_ppf(0.975, 40) / 40 < chi2_ppf(0.975, 5) / 5
+        def recording(n_u):
+            rule = catd_weights(n_u)
+
+            def weights(loss_u):
+                rounds.append(rule(loss_u))
+                return rounds[-1]
+
+            return weights
+
+        monkeypatch.setattr(catd_module, "catd_weights", recording)
+        catd(a, schema)
+        assert rounds
+        assert all(w[1] < w[0] for w in rounds)
 
     def test_weight_rule_trusts_small_sources_less(self):
         n_u = np.array([5.0, 40.0])

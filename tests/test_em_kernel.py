@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import repro.core.em as em
 from repro.core.em import (
+    EPS,
     REG_ALPHA,
     REG_PHI,
     AnswerLayout,
@@ -30,6 +31,7 @@ from repro.core.em import (
     tcrowd_em,
 )
 from repro.crowd import datasets as D
+from repro.crowd import workers
 from repro.crowd.metrics import error_rate, mnad
 from repro.crowd.schema import (
     CATEGORICAL,
@@ -47,11 +49,11 @@ def _estep_continuous(rows, values, v, mu0, var0):
     return (cell_rows, *cont_posterior_arrays(inv, values, v, mu0, var0))
 
 
-def _estep_categorical(rows, values, v, n_labels, eps):
+def _estep_categorical(rows, values, v, n_labels):
     """``(cells, w_per_answer, q_per_answer)`` of one categorical column;
     the :class:`CatCells` record gives its cells column 0."""
     groups = cat_groups(rows, values, n_labels)
-    pair_p, p0, w, q = cat_posterior_arrays(groups, v, n_labels, eps)
+    pair_p, p0, w, q = cat_posterior_arrays(groups, v, n_labels)
     return CatCells.build([(0, n_labels, groups, pair_p, p0)]), w, q
 
 
@@ -108,7 +110,7 @@ class TestEstepCategorical:
         rows = np.zeros(3, dtype=int)
         values = np.full(3, 2.0)
         v = np.ones(3)
-        cells, w, q = _estep_categorical(rows, values, v, 5, eps=1.0)
+        cells, w, q = _estep_categorical(rows, values, v, 5)
         assert cells.truth().tolist() == [2.0]
         assert w.min() > 0.9
 
@@ -116,7 +118,7 @@ class TestEstepCategorical:
         rows = np.array([0, 0, 0])
         values = np.array([1.0, 2.0, 1.0])
         v = np.array([0.5, 1.0, 2.0])
-        cells, _, _ = _estep_categorical(rows, values, v, 6, eps=1.0)
+        cells, _, _ = _estep_categorical(rows, values, v, 6)
         total = cells.probs[0].sum() + cells.n_un[0] * cells.p0[0]
         assert total == pytest.approx(1.0)
 
@@ -124,13 +126,13 @@ class TestEstepCategorical:
         rows = np.array([0, 0])
         values = np.array([1.0, 3.0])
         v = np.array([0.05, 5.0])  # first worker far more reliable
-        cells, _, _ = _estep_categorical(rows, values, v, 4, eps=1.0)
+        cells, _, _ = _estep_categorical(rows, values, v, 4)
         assert cells.truth().tolist() == [1.0]
 
     def test_truth_is_an_answered_label_for_worse_than_random_worker(self):
         # q = erf(1/√200) ≈ 0.08 < 1/4: each unanswered label is more probable.
         cells, _, _ = _estep_categorical(
-            np.zeros(1, dtype=int), np.array([2.0]), np.array([100.0]), 4, eps=1.0
+            np.zeros(1, dtype=int), np.array([2.0]), np.array([100.0]), 4
         )
         assert cells.probs[0, 0] < cells.p0[0]
         assert cells.truth().tolist() == [2.0]
@@ -141,7 +143,7 @@ class TestEstepCategorical:
         v = np.array([0.8, 1.5])
         q1, q2 = (erf(1 / math.sqrt(2 * 0.8)), erf(1 / math.sqrt(2 * 1.5)))
         cells, _, _ = _estep_categorical(
-            np.zeros(2, dtype=int), np.ones(2), v, 2, eps=1.0
+            np.zeros(2, dtype=int), np.ones(2), v, 2
         )
         want = (q1 * q2) / (q1 * q2 + (1 - q1) * (1 - q2))
         assert cells.labels.tolist() == [[1.0]]
@@ -150,7 +152,7 @@ class TestEstepCategorical:
 
     def test_unanswered_mass_counts(self):
         cells, _, _ = _estep_categorical(
-            np.zeros(2, dtype=int), np.array([0.0, 1.0]), np.ones(2), 10, eps=1.0
+            np.zeros(2, dtype=int), np.array([0.0, 1.0]), np.ones(2), 10
         )
         assert cells.n_un.tolist() == [8]
         assert cells.n_ans.tolist() == [2]
@@ -158,7 +160,7 @@ class TestEstepCategorical:
     def test_per_answer_w_is_own_label_posterior(self):
         rows = np.array([0, 0])
         values = np.array([0.0, 1.0])
-        cells, w, _ = _estep_categorical(rows, values, np.ones(2), 3, eps=1.0)
+        cells, w, _ = _estep_categorical(rows, values, np.ones(2), 3)
         for lab, expect in zip(cells.labels[0], cells.probs[0]):
             assert w[values == lab][0] == pytest.approx(expect)
 
@@ -206,17 +208,16 @@ class TestMStep:
 
     def test_gradient_matches_finite_difference(self):
         stats, state = self._stats_and_state()
-        eps = 1.0
-        _, g = q_objective(stats, state, eps)
+        _, g = q_objective(stats, state)
         # Perturb one worker's ln φ and compare.
         u, h = 3, 1e-6
         for sign in (+1, -1):
             pass
         st2 = state.copy()
         st2.ln_phi[u] += h
-        q_plus, _ = q_objective(stats, st2, eps)
+        q_plus, _ = q_objective(stats, st2)
         st2.ln_phi[u] -= 2 * h
-        q_minus, _ = q_objective(stats, st2, eps)
+        q_minus, _ = q_objective(stats, st2)
         fd = (q_plus - q_minus) / (2 * h)
         analytic = g[stats["worker"] == u].sum()
         assert analytic == pytest.approx(fd, rel=1e-4)
@@ -225,32 +226,32 @@ class TestMStep:
         stats, state = self._stats_and_state(seed=1)
         reg = 2.0
         i, h = 2, 1e-6
-        _, g = q_objective(stats, state, 1.0, reg)
+        _, g = q_objective(stats, state, reg_alpha=reg)
         st2 = state.copy()
         st2.ln_alpha[i] += h
-        qp, _ = q_objective(stats, st2, 1.0, reg)
+        qp, _ = q_objective(stats, st2, reg_alpha=reg)
         st2.ln_alpha[i] -= 2 * h
-        qm, _ = q_objective(stats, st2, 1.0, reg)
+        qm, _ = q_objective(stats, st2, reg_alpha=reg)
         fd = (qp - qm) / (2 * h)
         analytic = g[stats["row"] == i].sum() - 2 * reg * state.ln_alpha[i]
         assert analytic == pytest.approx(fd, rel=1e-4)
 
     def test_mstep_increases_q(self):
         stats, state = self._stats_and_state(seed=2)
-        q0, _ = q_objective(stats, state, 1.0, 2.0)
-        new_state, q1 = m_step(stats, state, 1.0)
+        q0, _ = q_objective(stats, state, reg_alpha=2.0)
+        new_state, q1 = m_step(stats, state)
         assert q1 >= q0 - 1e-9
 
     def test_mstep_renormalises(self):
         stats, state = self._stats_and_state(seed=3)
-        new_state, _ = m_step(stats, state, 1.0)
+        new_state, _ = m_step(stats, state)
         assert new_state.ln_alpha.mean() == pytest.approx(0.0, abs=1e-9)
         assert new_state.ln_phi.mean() == pytest.approx(0.0, abs=1e-9)
 
     def test_renormalisation_preserves_product(self):
         stats, state = self._stats_and_state(seed=4)
-        new_state, q1 = m_step(stats, state, 1.0)
-        q_check, _ = q_objective(stats, new_state, 1.0, 0.0)
+        new_state, q1 = m_step(stats, state)
+        q_check, _ = q_objective(stats, new_state)
         # Re-evaluating Q at the renormalised params must give (almost) the
         # same value as the unregularised part is scale-invariant only
         # through the product α β φ — verify Q is finite and sane.
@@ -258,21 +259,22 @@ class TestMStep:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="m_step scores its backtracking candidates with q_objective(stats, cand, "
-        "eps, reg_alpha): reg_phi is left at 0.0, so a candidate's Q lacks the ln φ ridge "
-        "the current point's Q carries. Fixing it alone slows the online workload "
+        "reg_alpha=REG_ALPHA): reg_phi is left at 0.0, so a candidate's Q lacks the ln φ "
+        "ridge the current point's Q carries. Fixing it alone slows the online workload "
         "(ROADMAP item 1), so the fix lands with the ECM/SQUAREM M-step.",
     )
     def test_every_q_evaluation_uses_both_ridges(self, monkeypatch):
         stats, state = self._stats_and_state(seed=5)
         ridges = []
 
-        def spy(stats, state, eps, reg_alpha=0.0, reg_phi=0.0):
+        def spy(stats, state, *, reg_alpha=0.0, reg_phi=0.0):
             ridges.append((reg_alpha, reg_phi))
-            return q_objective(stats, state, eps, reg_alpha, reg_phi)
+            return q_objective(stats, state, reg_alpha=reg_alpha, reg_phi=reg_phi)
 
         monkeypatch.setattr(em, "q_objective", spy)
-        m_step(stats, state, 1.0)
+        m_step(stats, state)
         assert len(ridges) > 1
         assert set(ridges) == {(REG_ALPHA, REG_PHI)}
 
@@ -404,6 +406,30 @@ class TestFullEM:
             res = tcrowd_em(ds.answers, ds.schema)
             assert len(res.truth) == ds.n_cells
 
+    def test_constant_continuous_column_does_not_freeze_em(self, restaurant_ds):
+        """Every answer to one continuous column is the same value. The
+        renormalisation then leaves that column's ln β beyond the M-step's
+        clamp; candidates that clip it back lower Q, so if they did no step
+        would be accepted and EM would stop at iteration 2, reporting
+        convergence. The other columns must come out about as well as with
+        that column's answers left out."""
+        ds = restaurant_ds
+        j = ds.schema.continuous_idx[0]
+        answers = ds.answers.copy()
+        answers.loc[answers["col"] == j, "value"] = 50.0
+        others = ds.truth[ds.truth["col"] != j]
+
+        def scores(ans):
+            res = tcrowd_em(ans, ds.schema)
+            est = res.truth[res.truth["col"] != j]
+            return res, error_rate(est, others, ds.schema), mnad(est, others, ds.schema)
+
+        res, er, mn = scores(answers)
+        _, er_without, mn_without = scores(answers[answers["col"] != j].reset_index(drop=True))
+        assert res.n_iters > 2
+        assert er <= 1.2 * er_without
+        assert mn <= 1.2 * mn_without
+
     def test_result_truth_layout(self, tiny_em):
         assert list(tiny_em.truth.columns) == ["row", "col", "truth"]
 
@@ -416,7 +442,7 @@ class TestFullEM:
 class TestRecovery:
     """On data drawn exactly from the model, the EM must recover truth well."""
 
-    def test_near_perfect_with_many_good_answers(self):
+    def test_near_perfect_with_many_good_answers(self, monkeypatch):
         schema = TableSchema(
             columns=(
                 ColumnSpec("c", CATEGORICAL, n_labels=4),
@@ -425,15 +451,12 @@ class TestRecovery:
         )
         g = np.random.default_rng(9)
         truth = D._uniform_truth(schema, 25, g)
-        from repro.crowd.workers import WorkerPool, simulate_answers
-
-        pool = WorkerPool(
+        pool = workers.WorkerPool(
             phi=np.full(15, 0.3), is_spammer=np.zeros(15, dtype=bool)
         )
-        ds = simulate_answers(
-            schema, truth, pool, n_per_task=9, seed=10,
-            p_unfamiliar=0.0, alpha_sigma=0.1,
-        )
+        monkeypatch.setattr(workers, "P_UNFAMILIAR", 0.0)
+        monkeypatch.setattr(workers, "ALPHA_SIGMA", 0.1)
+        ds = workers.simulate_answers(schema, truth, pool, n_per_task=9, seed=10)
         res = tcrowd_em(ds.answers, ds.schema)
         assert error_rate(res.truth, ds.truth, ds.schema) <= 0.05
         assert mnad(res.truth, ds.truth, ds.schema) <= 0.25
@@ -541,11 +564,11 @@ class TestLayoutEstep:
         answers, state = case
         priors, _ = _init(answers, _ESTEP_SCHEMA)
         want_cont, want_cat, want_stats = _reference_estep(
-            answers, _ESTEP_SCHEMA, state, priors, 1.0
+            answers, _ESTEP_SCHEMA, state, priors, EPS
         )
         layout = AnswerLayout.build(answers, _ESTEP_SCHEMA)
-        cont, cat, stats = run_estep(layout, state, priors, 1.0)
-        none_cont, none_cat, lean_stats = run_estep(layout, state, priors, 1.0, posteriors=False)
+        cont, cat, stats = run_estep(layout, state, priors)
+        none_cont, none_cat, lean_stats = run_estep(layout, state, priors, posteriors=False)
         assert none_cont is None and none_cat is None
         want_split = split_by_kind(want_stats)
         for got in (stats, lean_stats):
@@ -595,8 +618,8 @@ class TestQObjectiveSplit:
     def test_same_with_and_without_pre_split(self, seed):
         """Q on the split statistics equals the reference, which splits nothing."""
         stats, state = TestMStep()._stats_and_state(seed=seed, n=300)
-        want_q, want_g = _reference_q_objective(stats, state, 1.0, 2.0, 0.5)
-        q, g = q_objective(stats, state, 1.0, 2.0, 0.5)
+        want_q, want_g = _reference_q_objective(stats, state, EPS, 2.0, 0.5)
+        q, g = q_objective(stats, state, reg_alpha=2.0, reg_phi=0.5)
         assert q == want_q
         assert np.array_equal(g, want_g)
 

@@ -163,7 +163,6 @@ class TestAssignmentTable:
             batch_size=5,
             max_answers_per_task=1.5,
             checkpoints=(1.0, 1.5),
-            full_em_every=50,
         )
         table = build_assignment_table(
             spark,

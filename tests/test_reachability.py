@@ -1,4 +1,5 @@
-"""Every module-level name in ``src/repro`` is used by the system.
+"""Every module-level name in ``src/repro`` is used by the system, and every
+parameter default is one a caller can need to change.
 
 A function, class or constant defined at the top of a module, or a method
 or property of such a class, public or ``_``-prefixed, must be referenced
@@ -59,11 +60,15 @@ def _definitions(tree: ast.Module, private: bool):
         )
 
 
-def _unreferenced(private: bool) -> dict:
-    trees = {
+def _trees() -> dict:
+    return {
         path: ast.parse(path.read_text())
         for d in SCANNED for path in sorted((ROOT / d).rglob("*.py"))
     }
+
+
+def _unreferenced(private: bool) -> dict:
+    trees = _trees()
     total = sum((_references(t) for t in trees.values()), Counter())
     return {
         name: path.relative_to(ROOT)
@@ -101,3 +106,97 @@ def test_every_import_is_used():
                 if bound not in used:
                     unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+# "callee.parameter" -> why it keeps its default although no scanned call
+# sets it by name or position.
+ALLOWED_DEFAULTS = {
+    "SimConfig.reinfer_em_iters": "perfbench reads cfg.reinfer_em_iters to tell warm EM calls from full ones",
+    "emotion_like.seed": "called as REAL_DATASETS[name](seed=...), which the scan cannot resolve",
+    "synthetic_table.n_rows": "perfbench passes it in **EM_SYNTH / **SPARK_EM",
+    "synthetic_table.n_workers": "perfbench passes it in **EM_SYNTH / **SPARK_EM",
+    "synthetic_table.n_per_task": "perfbench passes it in **EM_SYNTH / **SPARK_EM",
+}
+
+
+def _signatures(tree: ast.Module):
+    """``(callee, qualname, params)`` of each function, method and
+    dataclass: the name a call uses, a label, and per settable parameter
+    ``(name, position or None, has_default)``; position None is
+    keyword-only."""
+    def of_function(fn: ast.FunctionDef, skip_first: bool):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        n_plain = len(pos) - len(a.defaults)
+        params = [(p.arg, i, i >= n_plain) for i, p in enumerate(pos)]
+        params += [(p.arg, None, d is not None) for p, d in zip(a.kwonlyargs, a.kw_defaults)]
+        if skip_first:
+            params = [(n, i - 1 if i is not None else None, d) for n, i, d in params[1:]]
+        return params
+
+    def walk(body, owner: str | None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                    fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                              and "init=False" not in ast.unparse(s)]
+                    yield node.name, node.name, [
+                        (s.target.id, i, s.value is not None) for i, s in enumerate(fields)
+                    ]
+                yield from walk(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                params = of_function(node, skip_first=owner is not None)
+                if node.name == "__init__":
+                    yield owner, owner, params
+                elif not node.name.startswith("__"):
+                    label = f"{owner}.{node.name}" if owner else node.name
+                    yield node.name, label, params
+                yield from walk(node.body, None)
+
+    yield from walk(tree.body, None)
+
+
+def _calls(trees) -> dict:
+    """callee name -> ``(n_positional, keywords)`` of each call to it; a
+    ``*`` or ``**`` argument sets nothing the scan can name."""
+    out: dict = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name is None:
+                continue
+            n_pos = len([a for a in n.args if not isinstance(a, ast.Starred)])
+            out.setdefault(name, []).append((n_pos, {k.arg for k in n.keywords if k.arg}))
+    return out
+
+
+def _defaults_never_set() -> dict:
+    trees = _trees()
+    calls = _calls(trees)
+    unset = {}
+    for path, tree in trees.items():
+        if not path.is_relative_to(ROOT / "src" / "repro"):
+            continue
+        for callee, label, params in _signatures(tree):
+            for name, pos, has_default in params:
+                if not has_default:
+                    continue
+                if not any(
+                    name in kws or (pos is not None and n_pos > pos)
+                    for n_pos, kws in calls.get(callee, [])
+                ):
+                    unset[f"{label}.{name}"] = path.relative_to(ROOT)
+    return unset
+
+
+def test_every_parameter_default_is_set():
+    unset = _defaults_never_set()
+    extra = [f"{path}: {name}" for name, path in unset.items() if name not in ALLOWED_DEFAULTS]
+    assert not extra, (
+        "a default no call in src/, jobs/ or perfbench/ changes: " + ", ".join(extra)
+    )
+    # An allowed default that gained a caller, or was deleted, leaves the list.
+    assert set(ALLOWED_DEFAULTS) <= set(unset), set(ALLOWED_DEFAULTS) - set(unset)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.assignment import InherentIGPolicy, RandomPolicy, StructureAwarePolicy
 from repro.crowd import datasets as D
+from repro.crowd import simulator
 from repro.crowd.simulator import (
     HiddenWorld,
     SimConfig,
@@ -61,12 +62,15 @@ class TestHiddenWorld:
 
 
 class TestRunSimulation:
+    @pytest.fixture(autouse=True)
+    def _fewer_full_em_runs(self, monkeypatch):
+        monkeypatch.setattr(simulator, "FULL_EM_EVERY", 50)
+
     def _cfg(self, **kw):
         base = dict(
             batch_size=5,
             max_answers_per_task=2.0,
             checkpoints=(1.0, 2.0),
-            full_em_every=50,
             seed=0,
         )
         base.update(kw)

@@ -108,13 +108,13 @@ class TestEstepKernel:
         layout = AnswerLayout.build(
             group.sort_values(["row", "worker"]).reset_index(drop=True), self.SCHEMA
         )
-        cont_cells, cat_cells, want = run_estep(layout, state, priors, 1.0)
-        out = _estep_kernel(state, self.SCHEMA, priors, 1.0, False)(shuffled)
+        cont_cells, cat_cells, want = run_estep(layout, state, priors)
+        out = _estep_kernel(state, self.SCHEMA, priors, False)(shuffled)
         assert list(out.columns) == list(_STATS)
         for k in _STATS:
             assert out[k].dtype == want[k].dtype, k
             assert out[k].tolist() == want[k].tolist(), k
-        truth = _estep_kernel(state, self.SCHEMA, priors, 1.0, True)(shuffled)
+        truth = _estep_kernel(state, self.SCHEMA, priors, True)(shuffled)
         pd.testing.assert_frame_equal(
             truth, result_truth(cont_cells, cat_cells), check_exact=True
         )
@@ -152,7 +152,7 @@ class TestSparkDataflow:
         priors, st = init_params(
             column_moments(tiny_ds.answers, tiny_ds.schema), tiny_ds.schema, 30, 20
         )
-        out = spark_estep(answers_df, st, tiny_ds.schema, priors, 1.0)
+        out = spark_estep(answers_df, st, tiny_ds.schema, priors)
         assert out.count() == len(tiny_ds.answers)
 
     def test_cells_relation_consistent(self, spark_result, tiny_ds):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.crowd import datasets as D
+from repro.crowd import workers
 from repro.crowd.workers import default_beta, make_pool, simulate_answers
 
 
@@ -17,7 +18,7 @@ class TestMakePool:
         assert (make_pool(100, seed=1).phi > 0).all()
 
     def test_spammer_fraction_roughly_respected(self):
-        p = make_pool(2000, seed=2, spammer_frac=0.1)
+        p = make_pool(2000, seed=2)  # SPAMMER_FRAC = 0.1
         assert 0.06 < p.is_spammer.mean() < 0.14
 
     def test_long_tail(self):
@@ -64,14 +65,12 @@ class TestSimulateAnswers:
         dupes = ds.answers.duplicated(["worker", "row", "col"]).sum()
         assert dupes == 0
 
-    def test_participation_skew_concentrates_answers(self):
+    def test_participation_skew_concentrates_answers(self, monkeypatch):
         schema, truth, pool, _ = self._small()
-        flat = simulate_answers(
-            schema, truth, pool, n_per_task=4, seed=2, participation_skew=0.0
-        )
-        skew = simulate_answers(
-            schema, truth, pool, n_per_task=4, seed=2, participation_skew=2.0
-        )
+        monkeypatch.setattr(workers, "PARTICIPATION_SKEW", 0.0)
+        flat = simulate_answers(schema, truth, pool, n_per_task=4, seed=2)
+        monkeypatch.setattr(workers, "PARTICIPATION_SKEW", 2.0)
+        skew = simulate_answers(schema, truth, pool, n_per_task=4, seed=2)
         top_flat = flat.answers["worker"].value_counts().iloc[0]
         top_skew = skew.answers["worker"].value_counts().iloc[0]
         assert top_skew > top_flat
