@@ -58,5 +58,6 @@ class LabelCells:
     def truth(self, pair_p: np.ndarray) -> pd.DataFrame:
         """``(row, col, truth)``: per cell the answered label of highest
         posterior, the smallest label on a tie (:meth:`CatCells.truth`)."""
-        post = CatCells.build([(0, 0, self.groups, pair_p, np.zeros(len(self.rows)))])
+        n = len(self.rows)
+        post = CatCells.build([(np.arange(n), 0, self.groups, pair_p, np.zeros(n))])
         return pd.DataFrame({"row": self.rows, "col": self.cols, "truth": post.truth()})

@@ -53,10 +53,11 @@ class AssignmentView:
     """Everything a policy may look at when assigning tasks.
 
     ``answers`` is the answer set so far (a worker never gets the same task
-    twice); ``result`` the latest T-Crowd inference output (None for
-    baseline policies that do not use it); ``error_model`` the fitted §5.2
-    model. A cell ``(row, col)`` is addressed by its flat index
-    ``row * n_cols + col``.
+    twice); ``result`` the latest T-Crowd inference output over the view's
+    ``n_rows`` rows (None for baseline policies that do not use it);
+    ``error_model`` the fitted §5.2 model. A cell ``(row, col)`` is
+    addressed by its flat index ``row * n_cols + col``, as in the result's
+    per-cell arrays.
     """
 
     schema: TableSchema
@@ -128,11 +129,9 @@ def uniform_entropy(view: AssignmentView) -> np.ndarray:
     for categorical; NaN where the result holds no posterior. NOT
     comparable across types — used by EntropyPolicy to reproduce the
     paper's bias demonstration."""
-    ent = np.full(view.n_cells, np.nan)
-    cc, cat = view.result.cont_cells, view.result.cat_cells
-    t_phi = np.maximum(cc["t_phi"].to_numpy(np.float64), 1e-300)
-    ent[view.flat(cc["row"], cc["col"])] = 0.5 * np.log(2.0 * np.pi * np.e * t_phi)
-    ent[view.flat(cat.rows, cat.cols)] = cat.entropy()
+    res = view.result
+    ent = 0.5 * np.log(2.0 * np.pi * np.e * np.maximum(res.t_phi, 1e-300))
+    ent[res.cat_cells.cells] = res.cat_cells.entropy()
     return ent
 
 
@@ -190,7 +189,7 @@ def cat_ig(
 
 def _cont_ig(t_phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Closed-form continuous gain ``½ ln(T_φ / T_φ′)`` of one answer of
-    variance ``v``."""
+    variance ``v``; NaN where ``t_phi`` is."""
     return 0.5 * np.log(t_phi / (1.0 / (1.0 / t_phi + 1.0 / v)))
 
 
@@ -200,14 +199,10 @@ class InherentIGPolicy:
     def gains(self, view: AssignmentView, worker: int) -> np.ndarray:
         """The gain of every flat cell; NaN where the result holds no
         posterior."""
-        res = view.result
         q, v = self._answer_quality(view, worker)
-        ig = np.full(view.n_cells, np.nan)
-        cc, c = res.cont_cells, res.cat_cells
-        at = view.flat(cc["row"], cc["col"])
-        ig[at] = _cont_ig(cc["t_phi"].to_numpy(np.float64), v[at])
-        at = view.flat(c.rows, c.cols)
-        ig[at] = cat_ig(c.probs, c.n_ans, c.n_un, c.p0, c.n_labels, q[at])
+        c = view.result.cat_cells
+        ig = _cont_ig(view.result.t_phi, v)
+        ig[c.cells] = cat_ig(c.probs, c.n_ans, c.n_un, c.p0, c.n_labels, q[c.cells])
         return ig
 
     def _answer_quality(self, view: AssignmentView, worker: int):
@@ -236,10 +231,10 @@ class StructureAwarePolicy(InherentIGPolicy):
         sub = view.answers[view.answers["worker"] == worker]
         if sub.empty or view.result is None:
             return {}
-        errs = compute_errors(sub, view.result.truth, view.schema)
+        errs = compute_errors(sub, view.result.estimate, view.schema)
         out: dict = {}
-        for row, col, err in zip(*(errs[f].tolist() for f in ("row", "col", "err"))):
-            out.setdefault(int(row), {})[int(col)] = float(err)
+        for row, col, err in zip(sub["row"].tolist(), sub["col"].tolist(), errs.tolist()):
+            out.setdefault(int(row), {})[int(col)] = err
         return out
 
     def _answer_quality(self, view: AssignmentView, worker: int):

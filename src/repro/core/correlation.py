@@ -52,27 +52,24 @@ class ErrorModel:
 
 
 def compute_errors(
-    answers: pd.DataFrame, truth: pd.DataFrame, schema: TableSchema
-) -> pd.DataFrame:
-    """Per-answer error relation: (worker, row, col, err)."""
-    m = answers.merge(truth, on=["row", "col"], how="inner")
-    cat = set(schema.categorical_idx)
-    is_cat = m["col"].isin(cat).to_numpy()
-    err = np.where(
-        is_cat,
-        (m["value"].round() != m["truth"].round()).astype(float),
-        m["value"] - m["truth"],
-    )
-    return pd.DataFrame(
-        {"worker": m["worker"], "row": m["row"], "col": m["col"], "err": err}
+    answers: pd.DataFrame, estimate: np.ndarray, schema: TableSchema
+) -> np.ndarray:
+    """Each answer's error, in answer order, against ``estimate``: T̂ per
+    flat cell ``row · n_cols + col`` (``TCrowdResult.estimate``)."""
+    row, col, value = (answers[f].to_numpy() for f in ("row", "col", "value"))
+    truth = estimate[row * schema.n_cols + col]
+    return np.where(
+        np.isin(col, schema.categorical_idx),
+        (np.round(value) != np.round(truth)).astype(float),
+        value - truth,
     )
 
 
 def fit_error_model(
-    answers: pd.DataFrame, truth: pd.DataFrame, schema: TableSchema
+    answers: pd.DataFrame, estimate: np.ndarray, schema: TableSchema
 ) -> ErrorModel:
-    """Estimate the full §5.2 model from the answers collected so far."""
-    errs = compute_errors(answers, truth, schema)
+    """Estimate the full §5.2 model from the answers so far and T̂ per flat cell."""
+    errs = answers[["worker", "row", "col"]].assign(err=compute_errors(answers, estimate, schema))
     # (worker, row) × col error matrix: workers answer whole rows (HIT
     # layout), so most rows of this pivot are complete.
     grid = errs.pivot_table(

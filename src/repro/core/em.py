@@ -31,12 +31,13 @@ Work that depends only on the answers runs once per :func:`tcrowd_em` call.
 categorical answers and, per column, the cell grouping (for a categorical
 column, also the grouping of answers into distinct ``(row, label)`` pairs),
 so each E-step runs only the array kernels. The E-steps inside the loop
-return just the M-step statistics; only the final one assembles the
-:class:`CatCells` record and the ``cont_cells`` frame (DESIGN.md §4).
+return just the M-step statistics; only the final one fills the per-cell
+arrays of the result and its :class:`CatCells` record (DESIGN.md §4).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -125,14 +126,14 @@ def entropy_rows(p: np.ndarray, p_un: np.ndarray, n_un: np.ndarray) -> np.ndarra
 class CatCells:
     """Label posteriors of categorical cells, one row per cell.
 
+    ``cells[i]`` is cell ``i``'s flat index ``row · n_cols + col``;
     ``labels[i, :n_ans[i]]`` are the labels cell ``i`` received an answer
     for, ascending, with their posteriors in ``probs[i, :n_ans[i]]``; both
     are zero beyond ``n_ans[i]``. The ``n_un[i]`` unanswered labels share
     probability ``p0[i]`` each.
     """
 
-    rows: np.ndarray  # int64
-    cols: np.ndarray  # int64
+    cells: np.ndarray  # int64
     n_labels: np.ndarray  # int64
     n_ans: np.ndarray  # int64
     n_un: np.ndarray  # int64
@@ -142,24 +143,23 @@ class CatCells:
 
     @classmethod
     def build(cls, parts: list) -> "CatCells":
-        """From ``(col, n_labels, CatGroups, pair_p, p0)`` per column, with
-        the cells in that order. A column's pairs are sorted by row, then
-        label, so a pair's position within its cell is its index less the
-        index of its cell's first pair."""
+        """From ``(cells, n_labels, CatGroups, pair_p, p0)`` per part, with
+        the part's cells in that order. A part's pairs are sorted by cell,
+        then label, so a pair's position within its cell is its index less
+        the index of its cell's first pair."""
         a_max = max((int(g.n_answered.max(initial=0)) for _, _, g, _, _ in parts), default=0)
         columns = []
-        for j, n_labels, g, pair_p, p0 in parts:
+        for cells, n_labels, g, pair_p, p0 in parts:
             n = len(g.cell_rows)
             first = np.cumsum(g.n_answered) - g.n_answered
             at = (g.cell_inv, np.arange(len(g.cell_inv)) - first[g.cell_inv])
             labels, probs = np.zeros((n, a_max)), np.zeros((n, a_max))
             labels[at], probs[at] = g.pair_label, pair_p
             nl = np.full(n, n_labels, dtype=np.int64)
-            columns.append((g.cell_rows, np.full(n, j, dtype=np.int64), nl, g.n_answered,
-                            nl - g.n_answered, p0, labels, probs))
+            columns.append((cells, nl, g.n_answered, nl - g.n_answered, p0, labels, probs))
         if not columns:
             e = np.zeros(0, dtype=np.int64)
-            return cls(e, e, e, e, e, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+            return cls(e, e, e, e, np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
         return cls(*(np.concatenate(f) for f in zip(*columns)))
 
     def entropy(self) -> np.ndarray:
@@ -172,22 +172,36 @@ class CatCells:
         are worse than random (q < 1/L); the estimate stays an answered
         label then too. Padding is 0.0, which never beats the first
         answered label."""
-        if not len(self.rows):
+        if not len(self.cells):
             return np.zeros(0)
-        return self.labels[np.arange(len(self.rows)), self.probs.argmax(axis=1)]
+        return self.labels[np.arange(len(self.cells)), self.probs.argmax(axis=1)]
+
+
+def truth_frame(estimate: np.ndarray, n_cols: int) -> pd.DataFrame:
+    """``(row, col, truth)`` of each cell with an estimate, by row then col;
+    ``estimate`` holds T̂ per flat cell ``row · n_cols + col``, else NaN."""
+    flat = np.flatnonzero(~np.isnan(estimate))
+    return pd.DataFrame({"row": flat // n_cols, "col": flat % n_cols, "truth": estimate[flat]})
 
 
 @dataclass
 class TCrowdResult:
+    """The arrays are per flat cell ``row · n_cols + col`` of the state's table."""
+
     state: EMState
-    truth: pd.DataFrame  # (row, col, truth) over answered cells
-    cont_cells: pd.DataFrame  # (row, col, t_mu, t_phi)
+    estimate: np.ndarray  # T̂ per flat cell; NaN where unanswered
+    t_phi: np.ndarray  # T_φ per flat cell; NaN except at continuous cells
     cat_cells: CatCells  # label posterior per categorical cell
     worker_quality: np.ndarray  # q_u = erf(ε/√(2 φ_u))
     n_iters: int
     converged: bool
     q_trace: list = field(default_factory=list)  # Q value after each M-step
     priors: dict = field(default_factory=dict)  # col -> (mu0, var0)
+
+    @cached_property
+    def truth(self) -> pd.DataFrame:
+        """(row, col, truth) over the answered cells, as jobs and metrics read it."""
+        return truth_frame(self.estimate, len(self.state.ln_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +420,13 @@ def m_step(stats: dict, state: EMState) -> tuple[EMState, float]:
 # Full EM driver.
 # ---------------------------------------------------------------------------
 
-def column_moments(answers: pd.DataFrame, schema: TableSchema) -> dict:
-    """``{j: (n, mean, var_pop)}`` of the answers to each continuous column
-    that has any; :func:`init_params` reads a missing column as unanswered."""
-    moments = {}
-    for j in schema.continuous_idx:
-        vals = answers.loc[answers["col"] == j, "value"].to_numpy()
-        if len(vals):
-            moments[j] = (len(vals), float(vals.mean()), float(vals.var()))
-    return moments
+def column_moments(layout: AnswerLayout) -> dict:
+    """``{j: (n, mean, var_pop)}`` of each answered continuous column of
+    ``layout``; :func:`init_params` reads a missing column as unanswered."""
+    return {
+        j: (len(vals), float(vals.mean()), float(vals.var()))
+        for j, _, vals, _, _ in layout.cont_cols
+    }
 
 
 def init_params(
@@ -517,11 +529,12 @@ def run_estep(
     posteriors: bool = True,
 ):
     """One full E-step over all columns of the answers ``layout`` was built
-    from. Returns (cont_cells, cat_cells, stats) where stats is the
-    per-answer sufficient-statistics dict the M-step consumes, with its
+    from. Returns ``(estimate, t_phi, cat_cells, stats)``: the
+    :class:`TCrowdResult` arrays over the flat cells of the state's
+    ``n_rows × n_cols`` table, its :class:`CatCells`, and the per-answer
+    sufficient-statistics dict the M-step consumes, with its
     :func:`split_by_kind` under ``"by_kind"``. With ``posteriors=False``
-    only ``stats`` is computed, and ``cont_cells`` and ``cat_cells`` are
-    None."""
+    only ``stats`` is computed, and the other three are None."""
     v_all = np.exp(
         state.ln_alpha[layout.row] + state.ln_beta[layout.col]
         + state.ln_phi[layout.worker]
@@ -529,18 +542,21 @@ def run_estep(
 
     s = np.zeros(len(layout.row))
     w = np.zeros(len(layout.row))
-    cont_rows, cat_parts = [], []
+    cat_parts = []
+    if posteriors:
+        n_cols = len(state.ln_beta)
+        estimate = np.full(len(state.ln_alpha) * n_cols, np.nan)
+        t_phi = estimate.copy()
     for j, idx, n_labels, groups in layout.cat_cols:
         pair_p, p0, w[idx], _ = cat_posterior_arrays(groups, v_all[idx], n_labels)
         if posteriors:
-            cat_parts.append((j, n_labels, groups, pair_p, p0))
+            cat_parts.append((groups.cell_rows * n_cols + j, n_labels, groups, pair_p, p0))
     for j, idx, vals, inv, cell_rows in layout.cont_cols:
         mu0, var0 = priors[j]
-        t_mu, t_phi, s[idx] = cont_posterior_arrays(inv, vals, v_all[idx], mu0, var0)
+        t_mu, phi, s[idx] = cont_posterior_arrays(inv, vals, v_all[idx], mu0, var0)
         if posteriors:
-            cont_rows.append(
-                pd.DataFrame({"row": cell_rows, "col": j, "t_mu": t_mu, "t_phi": t_phi})
-            )
+            at = cell_rows * n_cols + j
+            estimate[at], t_phi[at] = t_mu, phi
 
     stats = {
         "row": layout.row,
@@ -556,33 +572,12 @@ def run_estep(
         },
     }
     if not posteriors:
-        return None, None, stats
-    cont_cells = (
-        pd.concat(cont_rows, ignore_index=True)
-        if cont_rows
-        else pd.DataFrame(columns=["row", "col", "t_mu", "t_phi"])
-    )
-    return cont_cells, CatCells.build(cat_parts), stats
-
-
-def result_truth(cont_cells: pd.DataFrame, cat_cells: CatCells) -> pd.DataFrame:
-    """Final T̂ (Eq. at end of §4.3): T_μ for continuous, argmax label for
-    categorical."""
-    parts = []
-    if len(cont_cells):
-        parts.append(
-            cont_cells.rename(columns={"t_mu": "truth"})[["row", "col", "truth"]]
-        )
-    if len(cat_cells.rows):
-        parts.append(
-            pd.DataFrame(
-                {"row": cat_cells.rows, "col": cat_cells.cols, "truth": cat_cells.truth()}
-            )
-        )
-    out = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
-        columns=["row", "col", "truth"]
-    )
-    return out.sort_values(["row", "col"]).reset_index(drop=True)
+        return None, None, None, stats
+    # T̂ (end of §4.3): T_μ for a continuous cell, the argmax label for a
+    # categorical one.
+    cat_cells = CatCells.build(cat_parts)
+    estimate[cat_cells.cells] = cat_cells.truth()
+    return estimate, t_phi, cat_cells, stats
 
 
 def tcrowd_em(
@@ -601,10 +596,11 @@ def tcrowd_em(
     """
     if len(answers) == 0:
         raise ValueError("no answers to infer from")
-    validate_answers(answers, schema)
+    validate_answers(answers, schema, n_rows=n_rows, n_workers=n_workers)
     n_rows = n_rows if n_rows is not None else int(answers["row"].max()) + 1
     n_workers = n_workers if n_workers is not None else int(answers["worker"].max()) + 1
-    priors, state = init_params(column_moments(answers, schema), schema, n_rows, n_workers)
+    layout = AnswerLayout.build(answers, schema)
+    priors, state = init_params(column_moments(layout), schema, n_rows, n_workers)
     if warm_state is not None:
         state = warm_state.copy()
         if len(state.ln_alpha) < n_rows or len(state.ln_phi) < n_workers:
@@ -614,19 +610,17 @@ def tcrowd_em(
                 np.pad(state.ln_phi, (0, n_workers - len(state.ln_phi))),
             )
 
-    layout = AnswerLayout.build(answers, schema)
-
     def step(st: EMState):
-        _, _, stats = run_estep(layout, st, priors, posteriors=False)
+        *_, stats = run_estep(layout, st, priors, posteriors=False)
         return m_step(stats, st)
 
     state, n_iters, converged, q_trace = em_loop(step, state, max_iter)
     # Final E-step with the converged parameters.
-    cont_cells, cat_cells, _ = run_estep(layout, state, priors)
+    estimate, t_phi, cat_cells, _ = run_estep(layout, state, priors)
     return TCrowdResult(
         state=state,
-        truth=result_truth(cont_cells, cat_cells),
-        cont_cells=cont_cells,
+        estimate=estimate,
+        t_phi=t_phi,
         cat_cells=cat_cells,
         worker_quality=worker_quality(state),
         n_iters=n_iters,

@@ -40,9 +40,9 @@ from .em import (
     em_loop,
     init_params,
     m_step,
-    result_truth,
     run_estep,
     split_by_kind,
+    truth_frame,
     worker_quality,
 )
 
@@ -58,15 +58,16 @@ _STATS_SCHEMA = ", ".join(f"{k} {sql}" for k, (_, sql) in _STATS.items())
 def _estep_kernel(state: EMState, schema: TableSchema, priors: dict, posteriors: bool):
     """Kernel for ``applyInPandas``: :func:`run_estep` over one column's
     answers, sorted by ``(row, worker)``. Returns the ``_STATS`` columns, one
-    row per answer, or with ``posteriors`` the :func:`result_truth` rows."""
+    row per answer, or with ``posteriors`` the :func:`truth_frame` rows of
+    the column's cells."""
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values(["row", "worker"], kind="stable").reset_index(drop=True)
-        cont_cells, cat_cells, stats = run_estep(
+        estimate, _, _, stats = run_estep(
             AnswerLayout.build(pdf, schema), state, priors, posteriors=posteriors
         )
         if posteriors:
-            return result_truth(cont_cells, cat_cells)
+            return truth_frame(estimate, schema.n_cols)
         return pd.DataFrame({k: stats[k] for k in _STATS})
 
     return kernel

@@ -111,27 +111,39 @@ def restrict_answers(
     return answers[answers["col"].isin(keep)].reset_index(drop=True)
 
 
-def validate_answers(answers: pd.DataFrame, schema: TableSchema) -> None:
+def validate_answers(
+    answers: pd.DataFrame,
+    schema: TableSchema,
+    *,
+    n_rows: int | None = None,
+    n_workers: int | None = None,
+) -> None:
     """Reject malformed answers: raise ``ValueError`` naming the first one.
 
     Malformed is a NaN or infinite value; a categorical value that is not an
     integer label code in ``0..n_labels-1``; a negative worker, row or
-    column id, or a column id ``>= n_cols``; or a second answer of a worker
-    to the same cell, where the first such answer is named.
+    column id, or a column id ``>= n_cols``; a row id ``>= n_rows`` or a
+    worker id ``>= n_workers``, for each bound given; or a second answer of
+    a worker to the same cell, where the first such answer is named.
     """
     worker, row, col, value = (
         answers[f].to_numpy(np.float64) for f in ("worker", "row", "col", "value")
     )
     bad_id = ~((worker >= 0) & (row >= 0) & (col >= 0) & (col < schema.n_cols))
+    too_big = (row >= (np.inf if n_rows is None else n_rows)) | (
+        worker >= (np.inf if n_workers is None else n_workers)
+    )
     n_labels = np.array([c.n_labels or 0 for c in schema.columns], dtype=np.float64)
     labels = n_labels[np.where(bad_id, 0, col).astype(np.int64)]
     finite = np.isfinite(value)
     bad_label = (labels > 0) & ~((value >= 0) & (value < labels) & (value == np.round(value)))
-    bad = bad_id | ~finite | bad_label
+    bad = bad_id | too_big | ~finite | bad_label
     if bad.any():
         i = int(np.argmax(bad))
         reason = (
             "negative id or column out of range" if bad_id[i]
+            else f"row or worker id out of range (n_rows={n_rows}, n_workers={n_workers})"
+            if too_big[i]
             else "non-finite value" if not finite[i]
             else f"not a label code 0..{int(labels[i]) - 1}"
         )

@@ -154,16 +154,24 @@ def run_simulation(
     n_rows, n_cols = world.truth_grid.shape
     n_cells = n_rows * n_cols
     truth_frame = world.truth_frame()
+    budget = int(config.max_answers_per_task * n_cells)
 
     recs: list[dict] = []
-    answers: list[tuple] = []  # (worker, row, col, value)
+    # The answer log, one typed column per field, filled up to n_answers; a
+    # pick adds at most batch_size answers.
+    cap = max(budget, n_cells) + config.batch_size
+    log = {f: np.zeros(cap, np.int64) for f in ("worker", "row", "col")} | {"value": np.zeros(cap)}
+    n_answers = 0
 
     pw = participation_weights(world.pool.n_workers)
 
     def collect(worker: int, cells: list[tuple[int, int]]):
+        nonlocal n_answers
         for row, col in cells:
             val = world.answer(worker, row, col)
-            answers.append((worker, row, col, val))
+            for f, x in zip(log, (worker, row, col, val)):
+                log[f][n_answers] = x
+            n_answers += 1
 
     # Bootstrap: every task gets one answer (Alg. 2 line 1), collected
     # row-wise like HITs.
@@ -171,8 +179,8 @@ def run_simulation(
         w = int(rng.choice(world.pool.n_workers, p=pw))
         collect(w, [(row, j) for j in range(n_cols)])
 
-    def answers_df() -> pd.DataFrame:
-        return pd.DataFrame(answers, columns=["worker", "row", "col", "value"])
+    def answers_so_far() -> pd.DataFrame:
+        return pd.DataFrame({f: x[:n_answers] for f, x in log.items()})
 
     def infer(df: pd.DataFrame, warm: EMState | None, full: bool):
         return tcrowd_em(
@@ -185,11 +193,10 @@ def run_simulation(
         )
 
     needs_model = inference == "tcrowd"
-    res = infer(answers_df(), None, True) if needs_model else None
+    res = infer(answers_so_far(), None, True) if needs_model else None
     err_model = None
     next_cp = 0
     step = 0
-    budget = int(config.max_answers_per_task * n_cells)
 
     def checkpoint_metrics(df: pd.DataFrame) -> tuple[float, float]:
         if inference == "tcrowd":
@@ -207,13 +214,13 @@ def run_simulation(
             mnad(est, truth_frame, schema),
         )
 
-    while len(answers) < budget:
+    while n_answers < budget:
         worker = int(rng.choice(world.pool.n_workers, p=pw))
-        df = answers_df()
+        df = answers_so_far()
         if needs_model:
             if step % FULL_EM_EVERY == 0:
                 res = infer(df, res.state, True)
-                err_model = fit_error_model(df, res.truth, schema)
+                err_model = fit_error_model(df, res.estimate, schema)
             else:
                 res = infer(df, res.state, False)
         view = AssignmentView(
@@ -229,9 +236,9 @@ def run_simulation(
         collect(worker, cells)
         step += 1
 
-        avg = len(answers) / n_cells
+        avg = n_answers / n_cells
         while next_cp < len(config.checkpoints) and avg >= config.checkpoints[next_cp]:
-            cur = answers_df()
+            cur = answers_so_far()
             if needs_model:
                 res = infer(cur, res.state, True)
             er, mn = checkpoint_metrics(cur)
@@ -240,7 +247,7 @@ def run_simulation(
                     "avg_answers": config.checkpoints[next_cp],
                     "error_rate": er,
                     "mnad": mn,
-                    "n_answers": len(answers),
+                    "n_answers": n_answers,
                 }
             )
             next_cp += 1

@@ -47,12 +47,12 @@ class _Post(NamedTuple):
     p0: float
 
 
-def _posts(cat_cells) -> dict:
+def _posts(cat_cells, n_cols: int) -> dict:
     """``(row, col)`` -> :class:`_Post` of each cell of a ``CatCells``."""
     return {
-        (int(r), int(c)): _Post(cat_cells.probs[i, :n], int(nu), float(p))
-        for i, (r, c, n, nu, p) in enumerate(zip(
-            cat_cells.rows, cat_cells.cols, cat_cells.n_ans, cat_cells.n_un, cat_cells.p0
+        divmod(int(cell), n_cols): _Post(cat_cells.probs[i, :n], int(nu), float(p))
+        for i, (cell, n, nu, p) in enumerate(zip(
+            cat_cells.cells, cat_cells.n_ans, cat_cells.n_un, cat_cells.p0
         ))
     }
 
@@ -114,13 +114,13 @@ def _cat_ig(post, q: float, n_labels: int) -> float:
 def _ref_inherent_gains(view: AssignmentView, worker: int) -> dict:
     res = view.result
     ig: dict = {}
-    for rec in res.cont_cells.itertuples():
-        cell = (int(rec.row), int(rec.col))
+    for i in np.flatnonzero(~np.isnan(res.t_phi)):
+        cell = divmod(int(i), view.schema.n_cols)
         v_u = _cell_params(view, worker, *cell)
-        t_phi = float(rec.t_phi)
+        t_phi = float(res.t_phi[i])
         t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_u)
         ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
-    for cell, post in _posts(res.cat_cells).items():
+    for cell, post in _posts(res.cat_cells, view.schema.n_cols).items():
         v_u = _cell_params(view, worker, *cell)
         q = float(erf(EPS / np.sqrt(2.0 * v_u)))
         n_labels = view.schema.column(cell[1]).n_labels
@@ -152,7 +152,7 @@ def _ref_structure_gains(view: AssignmentView, worker: int) -> dict:
     if model is None:
         return ig
     observed = _ref_observed_errors(view, worker)
-    posts = _posts(view.result.cat_cells)
+    posts = _posts(view.result.cat_cells, view.schema.n_cols)
     for row, errs in observed.items():
         for j in range(view.schema.n_cols):
             cell = (row, j)
@@ -170,11 +170,9 @@ def _ref_structure_gains(view: AssignmentView, worker: int) -> dict:
                 ig[cell] = _cat_ig(post, q_eff, n_labels)
             else:
                 assert isinstance(dist, Normal)
-                rec = view.result.cont_cells
-                sel = rec[(rec["row"] == row) & (rec["col"] == j)]
-                if sel.empty:
+                t_phi = float(view.result.t_phi[row * view.schema.n_cols + j])
+                if math.isnan(t_phi):
                     continue
-                t_phi = float(sel["t_phi"].iloc[0])
                 v_eff = max(dist.var + dist.mu**2, 1e-12)
                 t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_eff)
                 ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
@@ -214,7 +212,7 @@ def _answered(view: AssignmentView, worker: int) -> set:
 
 @pytest.fixture(scope="module")
 def view(tiny_ds, tiny_em):
-    model = fit_error_model(tiny_ds.answers, tiny_em.truth, tiny_ds.schema)
+    model = fit_error_model(tiny_ds.answers, tiny_em.estimate, tiny_ds.schema)
     return AssignmentView(
         schema=tiny_ds.schema,
         n_rows=30,
@@ -455,19 +453,25 @@ class TestUniformEntropy:
         assert (ent[:, tiny_ds.schema.categorical_idx] >= -1e-12).all()
 
 
-def test_policies_on_table_without_categorical_answers(tiny_ds):
-    answers = restrict_answers(tiny_ds.answers, tiny_ds.schema, "cont")
+@pytest.mark.parametrize("kind", ["cont", "cat"])
+def test_policies_on_table_with_one_kind_of_answers(tiny_ds, kind):
+    """With no answers of the other kind, its cells hold no posterior (an
+    empty ``CatCells``, or an all-NaN ``t_phi``), and the policies pick
+    only answered cells."""
+    answers = restrict_answers(tiny_ds.answers, tiny_ds.schema, kind)
     res = tcrowd_em(answers, tiny_ds.schema)
-    assert len(res.cat_cells.rows) == 0
+    assert (len(res.cat_cells.cells) == 0) == (kind == "cont")
+    assert np.isnan(res.t_phi).all() == (kind == "cat")
     view = AssignmentView(
         schema=tiny_ds.schema, n_rows=30, answers=answers, result=res,
-        error_model=fit_error_model(answers, res.truth, tiny_ds.schema),
+        error_model=fit_error_model(answers, res.estimate, tiny_ds.schema),
     )
-    cont = set(zip(res.cont_cells["row"].tolist(), res.cont_cells["col"].tolist()))
-    assert set(_by_cell(view, uniform_entropy(view))) == cont
+    answered = set(zip(answers["row"].tolist(), answers["col"].tolist()))
+    assert set(_by_cell(view, res.estimate)) == answered
+    assert set(_by_cell(view, uniform_entropy(view))) == answered
     for policy in (EntropyPolicy(), InherentIGPolicy(), StructureAwarePolicy()):
         picks = policy.pick(view, 0, 5)
-        assert len(picks) == 5 and set(picks) <= cont
+        assert len(picks) == 5 and set(picks) <= answered
     for policy, ref in ((InherentIGPolicy(), _ref_inherent_gains),
                         (StructureAwarePolicy(), _ref_structure_gains)):
         assert _by_cell(view, policy.gains(view, 0)) == ref(view, 0)
@@ -587,13 +591,13 @@ class TestPolicies:
 
 class TestContinuousIGClosedForm:
     def test_matches_formula(self, view):
-        rec = view.result.cont_cells.iloc[0]
-        cell = (int(rec["row"]), int(rec["col"]))
+        first = np.flatnonzero(~np.isnan(view.result.t_phi))[0]
+        cell = divmod(int(first), view.schema.n_cols)
         st = view.result.state
         v_u = float(
             np.exp(st.ln_alpha[cell[0]] + st.ln_beta[cell[1]] + st.ln_phi[0])
         )
-        t_phi = float(rec["t_phi"])
+        t_phi = float(view.result.t_phi[first])
         want = 0.5 * math.log(t_phi / (1.0 / (1.0 / t_phi + 1.0 / v_u)))
         ig = InherentIGPolicy().gains(view, 0).reshape(view.n_rows, -1)[cell]
         assert ig == pytest.approx(want, rel=1e-9)

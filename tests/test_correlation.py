@@ -27,16 +27,11 @@ def mixed_schema():
 
 
 def _make_correlated_answers(n=400, seed=0):
-    """Worker errors: cat a & b correlated; cont x & y correlated."""
+    """Worker errors: cat a & b correlated; cont x & y correlated. Returns
+    the answers and the truth per flat cell ``row * 4 + col``."""
     g = np.random.default_rng(seed)
     rows = np.arange(n)
-    truth = pd.DataFrame(
-        {
-            "row": np.repeat(rows, 4),
-            "col": np.tile([0, 1, 2, 3], n),
-            "truth": np.tile([1.0, 1.0, 0.0, 0.0], n),
-        }
-    )
+    truth = np.tile([1.0, 1.0, 0.0, 0.0], n)
     recs = []
     for i in rows:
         competent = g.random() < 0.7
@@ -58,14 +53,25 @@ class TestComputeErrors:
     def test_categorical_error_is_indicator(self, mixed_schema):
         answers, truth = _make_correlated_answers(50)
         errs = compute_errors(answers, truth, mixed_schema)
-        cat = errs[errs["col"].isin([0, 1])]
-        assert set(cat["err"].unique()) <= {0.0, 1.0}
+        assert set(errs[answers["col"].isin([0, 1])]) == {0.0, 1.0}
 
     def test_continuous_error_is_signed(self, mixed_schema):
         answers, truth = _make_correlated_answers(50)
         errs = compute_errors(answers, truth, mixed_schema)
-        cont = errs[errs["col"].isin([2, 3])]
-        assert (cont["err"] < 0).any() and (cont["err"] > 0).any()
+        cont = errs[answers["col"].isin([2, 3])]
+        assert (cont < 0).any() and (cont > 0).any()
+
+    def test_errors_in_answer_order_equal_merge(self, mixed_schema):
+        """One error per answer, in answer order, equal to the error of the
+        answer's row in a merge with the truth frame."""
+        answers, truth = _make_correlated_answers(50)
+        answers = answers.sample(frac=1.0, random_state=1).reset_index(drop=True)
+        frame = pd.DataFrame({"row": np.arange(len(truth)) // 4,
+                              "col": np.arange(len(truth)) % 4, "truth": truth})
+        m = answers.merge(frame, on=["row", "col"], how="left")
+        want = np.where(m["col"] < 2, (m["value"] != m["truth"]).astype(float),
+                        m["value"] - m["truth"])
+        assert compute_errors(answers, truth, mixed_schema).tolist() == want.tolist()
 
 
 class TestFitErrorModel:
@@ -157,6 +163,6 @@ class TestOnRealGenerator:
 
         res = tcrowd_em(restaurant_ds.answers, restaurant_ds.schema, max_iter=10)
         model = fit_error_model(
-            restaurant_ds.answers, res.truth, restaurant_ds.schema
+            restaurant_ds.answers, res.estimate, restaurant_ds.schema
         )
         assert model.w[3, 4] > 0.05  # start/end target errors correlate

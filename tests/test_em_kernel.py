@@ -25,7 +25,6 @@ from repro.core.em import (
     init_params,
     m_step,
     q_objective,
-    result_truth,
     run_estep,
     split_by_kind,
     tcrowd_em,
@@ -50,11 +49,12 @@ def _estep_continuous(rows, values, v, mu0, var0):
 
 
 def _estep_categorical(rows, values, v, n_labels):
-    """``(cells, w_per_answer, q_per_answer)`` of one categorical column;
-    the :class:`CatCells` record gives its cells column 0."""
+    """``(cells, w_per_answer, q_per_answer)`` of one categorical column,
+    whose :class:`CatCells` record indexes its cells as those of a
+    one-column table, by row."""
     groups = cat_groups(rows, values, n_labels)
     pair_p, p0, w, q = cat_posterior_arrays(groups, v, n_labels)
-    return CatCells.build([(0, n_labels, groups, pair_p, p0)]), w, q
+    return CatCells.build([(groups.cell_rows, n_labels, groups, pair_p, p0)]), w, q
 
 
 class TestEstepContinuous:
@@ -170,7 +170,7 @@ def _one_cell(probs, n_un, p0):
     n = len(probs)
     one = lambda x: np.array([x], dtype=np.int64)  # noqa: E731
     return CatCells(
-        rows=one(0), cols=one(0), n_labels=one(n + n_un), n_ans=one(n), n_un=one(n_un),
+        cells=one(0), n_labels=one(n + n_un), n_ans=one(n), n_un=one(n_un),
         p0=np.array([p0]), labels=np.arange(n, dtype=np.float64)[None, :],
         probs=np.array([probs], dtype=np.float64),
     )
@@ -280,7 +280,8 @@ class TestMStep:
 
 
 def _init(answers, schema, n_rows=30, n_workers=20):
-    return init_params(column_moments(answers, schema), schema, n_rows, n_workers)
+    layout = AnswerLayout.build(answers, schema)
+    return init_params(column_moments(layout), schema, n_rows, n_workers)
 
 
 class TestInitAndPriors:
@@ -393,6 +394,12 @@ class TestFullEM:
         )
         assert len(res.state.ln_alpha) == 36
         assert len(res.state.ln_phi) == 26
+
+    @pytest.mark.parametrize("bound, size", [("n_rows", 100), ("n_workers", 5)])
+    def test_rejects_ids_past_the_given_sizes(self, restaurant_ds, bound, size):
+        # These used to fail inside the E-step with a bare IndexError.
+        with pytest.raises(ValueError, match="malformed answer at position.*id out of range"):
+            tcrowd_em(restaurant_ds.answers, restaurant_ds.schema, **{bound: size})
 
     def test_empty_answers_raise(self, tiny_ds):
         with pytest.raises(ValueError):
@@ -567,9 +574,9 @@ class TestLayoutEstep:
             answers, _ESTEP_SCHEMA, state, priors, EPS
         )
         layout = AnswerLayout.build(answers, _ESTEP_SCHEMA)
-        cont, cat, stats = run_estep(layout, state, priors)
-        none_cont, none_cat, lean_stats = run_estep(layout, state, priors, posteriors=False)
-        assert none_cont is None and none_cat is None
+        estimate, t_phi, cat, stats = run_estep(layout, state, priors)
+        *nones, lean_stats = run_estep(layout, state, priors, posteriors=False)
+        assert nones == [None, None, None]
         want_split = split_by_kind(want_stats)
         for got in (stats, lean_stats):
             assert got.keys() == want_stats.keys() | {"by_kind"}
@@ -581,14 +588,111 @@ class TestLayoutEstep:
                 for k, want_arr in want_part.items():
                     assert got["by_kind"][kind][k].dtype == want_arr.dtype
                     assert np.array_equal(got["by_kind"][kind][k], want_arr), (kind, k)
-        pd.testing.assert_frame_equal(cont, want_cont, check_exact=True)
-        assert list(zip(cat.rows.tolist(), cat.cols.tolist())) == list(want_cat)
+        n_cols = _ESTEP_SCHEMA.n_cols
+        cont_at = (want_cont["row"] * n_cols + want_cont["col"]).to_numpy()
+        assert np.array_equal(
+            t_phi, _scattered(len(t_phi), cont_at, want_cont["t_phi"]), equal_nan=True
+        )
+        assert estimate[cont_at].tolist() == want_cont["t_mu"].tolist()
+        assert cat.cells.tolist() == [row * n_cols + j for row, j in want_cat]
+        assert estimate[cat.cells].tolist() == cat.truth().tolist()
+        assert np.isnan(np.delete(estimate, np.r_[cont_at, cat.cells])).all()
         for i, (labels, probs, n_un, p0) in enumerate(want_cat.values()):
             n = cat.n_ans[i]
             assert np.array_equal(cat.labels[i, :n], labels)
             assert np.array_equal(cat.probs[i, :n], probs)
             assert not cat.labels[i, n:].any() and not cat.probs[i, n:].any()
             assert (cat.n_un[i], cat.p0[i]) == (n_un, p0)
+
+
+def _scattered(n: int, at, values) -> np.ndarray:
+    """``values`` at positions ``at`` of ``n`` NaNs."""
+    out = np.full(n, np.nan)
+    out[at] = values
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The per-cell result arrays against the frames they replaced.
+# ---------------------------------------------------------------------------
+
+def _reference_frames(answers, schema, res):
+    """The final E-step at ``res``'s parameters as frames, the way the
+    engine built them before its result became per-cell arrays: a
+    ``(row, col, t_mu, t_phi)`` frame per continuous column, concatenated,
+    and the ``(row, col, truth)`` frame concatenated from it and the
+    categorical decode, then sorted by ``(row, col)``. Returns both."""
+    layout = AnswerLayout.build(answers, schema)
+    st = res.state
+    v = np.exp(st.ln_alpha[layout.row] + st.ln_beta[layout.col] + st.ln_phi[layout.worker])
+    cont_rows, cat_rows, cat_cols, cat_truth = [], [], [], []
+    for j, idx, vals, inv, cell_rows in layout.cont_cols:
+        t_mu, t_phi, _ = cont_posterior_arrays(inv, vals, v[idx], *res.priors[j])
+        cont_rows.append(pd.DataFrame({"row": cell_rows, "col": j, "t_mu": t_mu, "t_phi": t_phi}))
+    for j, idx, n_labels, groups in layout.cat_cols:
+        pair_p, p0, _, _ = cat_posterior_arrays(groups, v[idx], n_labels)
+        cells = CatCells.build([(groups.cell_rows, n_labels, groups, pair_p, p0)])
+        cat_rows.append(groups.cell_rows)
+        cat_cols.append(np.full(len(groups.cell_rows), j, dtype=np.int64))
+        cat_truth.append(cells.truth())
+    cont_cells = (
+        pd.concat(cont_rows, ignore_index=True)
+        if cont_rows
+        else pd.DataFrame(columns=["row", "col", "t_mu", "t_phi"])
+    )
+    parts = []
+    if len(cont_cells):
+        parts.append(cont_cells.rename(columns={"t_mu": "truth"})[["row", "col", "truth"]])
+    if cat_rows:
+        parts.append(pd.DataFrame({
+            "row": np.concatenate(cat_rows), "col": np.concatenate(cat_cols),
+            "truth": np.concatenate(cat_truth),
+        }))
+    truth = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
+        columns=["row", "col", "truth"]
+    )
+    return cont_cells, truth.sort_values(["row", "col"]).reset_index(drop=True)
+
+
+class TestResultArrays:
+    @pytest.mark.parametrize(
+        "table", ["tiny_ds", "restaurant_ds", "continuous_only", "categorical_only"]
+    )
+    def test_truth_and_arrays_match_reference_frames(self, table, request):
+        """``truth`` is the frame the concat-and-sort built, dtypes
+        included; ``estimate`` and ``t_phi`` are NaN exactly at the cells
+        with no row in the reference frames, and equal them elsewhere."""
+        if table.endswith("_ds"):
+            ds = request.getfixturevalue(table)
+        else:
+            ds = D.synthetic_table(n_rows=20, m=3, n_workers=10, n_per_task=3, seed=5,
+                                   cat_ratio=float(table == "categorical_only"))
+        answers, schema = ds.answers, ds.schema
+        assert table != "continuous_only" or not schema.categorical_idx
+        assert table != "categorical_only" or not schema.continuous_idx
+        res = tcrowd_em(answers, schema, max_iter=10)
+        cont_cells, want = _reference_frames(answers, schema, res)
+        pd.testing.assert_frame_equal(res.truth, want, check_exact=True)
+        n = len(res.estimate)
+        at = (want["row"] * schema.n_cols + want["col"]).to_numpy(np.int64)
+        assert np.array_equal(res.estimate, _scattered(n, at, want["truth"]), equal_nan=True)
+        at = (cont_cells["row"] * schema.n_cols + cont_cells["col"]).to_numpy(np.int64)
+        assert np.array_equal(res.t_phi, _scattered(n, at, cont_cells["t_phi"]), equal_nan=True)
+
+    @pytest.mark.parametrize("which", ["tiny_ds", "restaurant_ds"])
+    def test_answer_order_does_not_matter(self, which, request):
+        """Shuffled answers give the same iterations and labels, and the
+        same continuous estimates up to summation order: no cell is keyed
+        by an answer's position."""
+        ds = request.getfixturevalue(which)
+        ref = tcrowd_em(ds.answers, ds.schema)
+        cat = np.isin(np.arange(len(ref.estimate)) % ds.schema.n_cols, ds.schema.categorical_idx)
+        for seed in range(3):
+            shuffled = ds.answers.sample(frac=1.0, random_state=seed).reset_index(drop=True)
+            res = tcrowd_em(shuffled, ds.schema)
+            assert res.n_iters == ref.n_iters
+            assert np.array_equal(res.estimate[cat], ref.estimate[cat], equal_nan=True)
+            np.testing.assert_allclose(res.estimate[~cat], ref.estimate[~cat], rtol=1e-12, atol=0)
 
 
 def _reference_q_objective(stats, state, eps, reg_alpha, reg_phi):
@@ -632,7 +736,7 @@ class TestCatCellsRecord:
         if cont_only:  # no categorical answers: the record has no rows
             answers = restrict_answers(answers, _ESTEP_SCHEMA, "cont")
         cat = tcrowd_em(answers, _ESTEP_SCHEMA, max_iter=3).cat_cells
-        n = len(cat.rows)
+        n = len(cat.cells)
         assert n == 0 if cont_only else n > 0
         assert cat.truth().shape == cat.entropy().shape == (n,)
         assert (cat.n_ans + cat.n_un == cat.n_labels).all()

@@ -122,9 +122,11 @@ class TestValidateAnswers:
     schema = TableSchema(
         columns=(ColumnSpec("a", CATEGORICAL, n_labels=3), ColumnSpec("x", CONTINUOUS))
     )
+    sizes = {"n_rows": 2, "n_workers": 3}
 
     def _answers(self, field=None, value=None):
-        """Three well-formed answers; ``field`` of the last is set to ``value``."""
+        """Three well-formed answers; ``field`` of the last is set to ``value``.
+        Their ids fit ``sizes``, the smallest bounds that hold them."""
         a = pd.DataFrame(
             {"worker": [0, 1, 2], "row": [0, 0, 1], "col": [0, 1, 0], "value": [2.0, 17.5, 0.0]}
         )
@@ -135,6 +137,7 @@ class TestValidateAnswers:
 
     def test_well_formed_passes(self):
         validate_answers(self._answers(), self.schema)
+        validate_answers(self._answers(), self.schema, **self.sizes)
 
     @pytest.mark.parametrize(
         "field, value, reason",
@@ -148,12 +151,14 @@ class TestValidateAnswers:
             ("row", -1, "negative id"),
             ("col", -1, "column out of range"),
             ("col", 2, "column out of range"),
+            ("row", 2, "row or worker id out of range"),
+            ("worker", 3, "row or worker id out of range"),
         ],
     )
     def test_rejects_and_names_first_bad_answer(self, field, value, reason):
         a = self._answers(field, value)
         with pytest.raises(ValueError, match="position 2") as err:
-            validate_answers(a, self.schema)
+            validate_answers(a, self.schema, **self.sizes)
         assert reason in str(err.value)
 
     def test_continuous_nan_rejected(self):

@@ -1,6 +1,7 @@
 """Tests for the online crowdsourcing simulator."""
 import json
 import platform
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,46 @@ class TestRunSimulation:
         a = run_simulation(fresh(), RandomPolicy(7), "mv", cfg)
         b = run_simulation(fresh(), RandomPolicy(7), "mv", cfg)
         pd.testing.assert_frame_equal(a, b)
+
+
+    def test_calls_go_through_the_names_the_benchmark_patches(self, small_world, monkeypatch):
+        """The benchmark times a simulation by replacing ``world.answer``,
+        ``policy.pick``, the simulator's ``tcrowd_em`` and
+        ``fit_error_model``, and EM's kernels by attribute: each must be
+        looked up where it is patched, on every call, and ``tcrowd_em``
+        must get the answers so far first and ``max_iter`` by keyword."""
+        from repro.core import em
+
+        calls, answered, picks = Counter(), [], []
+
+        def spy(owner, name, check=None):
+            orig = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if check is not None:
+                    check(*args, **kwargs)
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def infer_args(answers, schema, **kwargs):
+            assert len(answers) == len(answered)
+            assert "max_iter" in kwargs
+
+        spy(small_world, "answer", lambda *args: answered.append(args))
+        spy(simulator, "tcrowd_em", infer_args)
+        spy(simulator, "fit_error_model")
+        for name in ("run_estep", "m_step", "q_objective", "erf"):
+            spy(em, name)
+        policy = StructureAwarePolicy()
+        spy(policy, "pick", lambda view, worker, k, /: picks.append(k))
+        run_simulation(small_world, policy, "tcrowd",
+                       self._cfg(max_answers_per_task=1.2, checkpoints=(1.0,)))
+        assert picks and set(picks) == {5}
+        names = ("answer", "tcrowd_em", "fit_error_model", "run_estep", "m_step",
+                 "q_objective", "erf")
+        assert all(calls[n] > 0 for n in names), calls
 
 
 class TestPinnedSimulation:

@@ -6,7 +6,7 @@ import pytest
 
 import pandas as pd
 
-from repro.core.em import AnswerLayout, EMState, result_truth, run_estep, tcrowd_em
+from repro.core.em import AnswerLayout, EMState, run_estep, tcrowd_em, truth_frame
 from repro.core.spark_em import _STATS, _estep_kernel, spark_estep, tcrowd_em_spark
 from repro.crowd.metrics import error_rate, mnad
 from repro.crowd.schema import (
@@ -108,7 +108,7 @@ class TestEstepKernel:
         layout = AnswerLayout.build(
             group.sort_values(["row", "worker"]).reset_index(drop=True), self.SCHEMA
         )
-        cont_cells, cat_cells, want = run_estep(layout, state, priors)
+        estimate, _, _, want = run_estep(layout, state, priors)
         out = _estep_kernel(state, self.SCHEMA, priors, False)(shuffled)
         assert list(out.columns) == list(_STATS)
         for k in _STATS:
@@ -116,7 +116,7 @@ class TestEstepKernel:
             assert out[k].tolist() == want[k].tolist(), k
         truth = _estep_kernel(state, self.SCHEMA, priors, True)(shuffled)
         pd.testing.assert_frame_equal(
-            truth, result_truth(cont_cells, cat_cells), check_exact=True
+            truth, truth_frame(estimate, self.SCHEMA.n_cols), check_exact=True
         )
         return truth
 
@@ -149,9 +149,8 @@ class TestSparkDataflow:
         answers_df, _ = tiny_ds.to_spark(spark)
         from repro.core.em import column_moments, init_params
 
-        priors, st = init_params(
-            column_moments(tiny_ds.answers, tiny_ds.schema), tiny_ds.schema, 30, 20
-        )
+        layout = AnswerLayout.build(tiny_ds.answers, tiny_ds.schema)
+        priors, st = init_params(column_moments(layout), tiny_ds.schema, 30, 20)
         out = spark_estep(answers_df, st, tiny_ds.schema, priors)
         assert out.count() == len(tiny_ds.answers)
 
