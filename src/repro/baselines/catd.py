@@ -28,7 +28,6 @@ from .crh import weighted_truth_discovery
 
 _SIGNIFICANCE = 0.05
 _MAX_ITER = 10
-_TOL = 1e-6
 
 
 def catd_weights(n_u: np.ndarray):
@@ -38,4 +37,4 @@ def catd_weights(n_u: np.ndarray):
 
 
 def catd(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
-    return weighted_truth_discovery(answers, schema, catd_weights, max_iter=_MAX_ITER, tol=_TOL)
+    return weighted_truth_discovery(answers, schema, catd_weights, max_iter=_MAX_ITER)

@@ -22,7 +22,7 @@ from .voting import voted_truth
 
 _EPS = 1e-9
 _MAX_ITER = 20
-_TOL = 1e-6
+_TOL = 1e-6  # stop once the total loss moves less than this, relatively
 
 
 def weighted_truth_discovery(
@@ -31,14 +31,13 @@ def weighted_truth_discovery(
     weight_rule,
     *,
     max_iter: int,
-    tol: float,
 ) -> pd.DataFrame:
     """Alternate source weights and truths from an MV/median start.
 
     ``weight_rule(n_u)``, called once with each worker's answer count,
     returns the map from each worker's summed loss to its weight. Stops
     after ``max_iter`` rounds, or once the total loss changes by less than
-    ``tol`` relative to the previous round's.
+    ``_TOL`` relative to the previous round's.
     """
     validate_answers(answers, schema)
     a = answers.copy()
@@ -84,7 +83,7 @@ def weighted_truth_discovery(
         truth = pd.concat([tv, tc[["row", "col", "truth"]]], ignore_index=True)
 
         total = float(err.sum())
-        if prev_loss is not None and abs(prev_loss - total) < tol * max(prev_loss, 1.0):
+        if prev_loss is not None and abs(prev_loss - total) < _TOL * max(prev_loss, 1.0):
             break
         prev_loss = total
     return truth.sort_values(["row", "col"]).reset_index(drop=True)
@@ -96,4 +95,4 @@ def crh_weights(n_u: np.ndarray):
 
 
 def crh(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
-    return weighted_truth_discovery(answers, schema, crh_weights, max_iter=_MAX_ITER, tol=_TOL)
+    return weighted_truth_discovery(answers, schema, crh_weights, max_iter=_MAX_ITER)

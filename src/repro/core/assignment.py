@@ -227,14 +227,15 @@ class StructureAwarePolicy(InherentIGPolicy):
     errors in the same row before computing the information gain."""
 
     def _observed_errors(self, view: AssignmentView, worker: int) -> dict:
-        """row -> {col: error vs current truth} for this worker."""
-        sub = view.answers[view.answers["worker"] == worker]
-        if sub.empty or view.result is None:
+        """row -> {col: error vs current truth} for this worker, in answer order."""
+        if view.result is None:
             return {}
-        errs = compute_errors(sub, view.result.estimate, view.schema)
+        mine = view.answers["worker"].to_numpy() == worker
+        row, col = (view.answers[f].to_numpy(np.int64)[mine].tolist() for f in ("row", "col"))
+        errs = compute_errors(view.answers, view.result.estimate, view.schema)[mine]
         out: dict = {}
-        for row, col, err in zip(sub["row"].tolist(), sub["col"].tolist(), errs.tolist()):
-            out.setdefault(int(row), {})[int(col)] = err
+        for i, j, err in zip(row, col, errs.tolist()):
+            out.setdefault(i, {})[j] = err
         return out
 
     def _answer_quality(self, view: AssignmentView, worker: int):

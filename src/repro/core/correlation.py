@@ -16,10 +16,15 @@ The model holds, for every ordered column pair (j, k):
   row (Eq. 7). We combine with |W_jk|: Eq. 7 weights the *reliability* of
   each correlated predictor, and a strong negative correlation is as
   informative as a positive one (the conditional itself carries the sign).
+
+:func:`fit_error_model` fits it from one error grid, a row per answered
+``(worker, row)`` pair and NaN at each unanswered cell: one mask per
+unordered pair j < k finds its complete rows, for both directions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pandas as pd
@@ -69,18 +74,17 @@ def fit_error_model(
     answers: pd.DataFrame, estimate: np.ndarray, schema: TableSchema
 ) -> ErrorModel:
     """Estimate the full §5.2 model from the answers so far and T̂ per flat cell."""
-    errs = answers[["worker", "row", "col"]].assign(err=compute_errors(answers, estimate, schema))
-    # (worker, row) × col error matrix: workers answer whole rows (HIT
-    # layout), so most rows of this pivot are complete.
-    grid = errs.pivot_table(
-        index=["worker", "row"], columns="col", values="err", aggfunc="mean"
-    )
-    m_cols = schema.n_cols
+    # Rows ascend by (worker, row), as a pivot's would; workers answer whole
+    # rows (HIT layout), so most rows are complete.
+    pairs, at = np.unique(answers[["worker", "row"]].to_numpy(), axis=0, return_inverse=True)
+    grid = np.full((len(pairs), schema.n_cols), np.nan)
+    grid[at, answers["col"].to_numpy()] = compute_errors(answers, estimate, schema)
+    seen = ~np.isnan(grid)
     cat = set(schema.categorical_idx)
 
     marginals: dict = {}
-    for j in range(m_cols):
-        col = grid[j].dropna().to_numpy() if j in grid.columns else np.array([])
+    for j in range(schema.n_cols):
+        col = grid[seen[:, j], j]
         if j in cat:
             marginals[j] = Bernoulli(float(col.mean()) if len(col) else 0.5)
         else:
@@ -88,24 +92,19 @@ def fit_error_model(
             var = float(col.var()) if len(col) > 1 else 1.0
             marginals[j] = Normal(mu, max(var, _VAR_FLOOR))
 
-    w = np.zeros((m_cols, m_cols))
+    w = np.zeros((schema.n_cols, schema.n_cols))
     conditionals: dict = {}
-    for j in range(m_cols):
-        for k in range(m_cols):
-            if j == k or j not in grid.columns or k not in grid.columns:
-                continue
-            both = grid[[j, k]].dropna()
-            if len(both) < _MIN_PAIRS:
-                continue
-            ej = both[j].to_numpy()
-            ek = both[k].to_numpy()
-            sj, sk = ej.std(), ek.std()
-            w[j, k] = (
-                float(np.corrcoef(ej, ek)[0, 1]) if sj > 0 and sk > 0 else 0.0
-            )
-            if not np.isfinite(w[j, k]):
-                w[j, k] = 0.0
-            conditionals[(j, k)] = _fit_conditional(ej, ek, j in cat, k in cat)
+    for j, k in combinations(range(schema.n_cols), 2):
+        both = seen[:, j] & seen[:, k]
+        if both.sum() < _MIN_PAIRS:
+            continue
+        ej, ek = grid[both, j], grid[both, k]
+        spread = ej.std() > 0 and ek.std() > 0
+        # np.corrcoef is not symmetric to the last bit: one call per direction.
+        for a, b, ea, eb in ((j, k, ej, ek), (k, j, ek, ej)):
+            r = float(np.corrcoef(ea, eb)[0, 1]) if spread else 0.0
+            w[a, b] = r if np.isfinite(r) else 0.0
+            conditionals[(a, b)] = _fit_conditional(ea, eb, a in cat, b in cat)
     return ErrorModel(schema=schema, marginals=marginals, conditionals=conditionals, w=w)
 
 

@@ -71,18 +71,6 @@ class EMState:
     def copy(self) -> "EMState":
         return EMState(self.ln_alpha.copy(), self.ln_beta.copy(), self.ln_phi.copy())
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.exp(self.ln_alpha)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.exp(self.ln_beta)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.exp(self.ln_phi)
-
 
 def max_move(a: EMState, b: EMState) -> float:
     """Largest absolute change of any log-parameter between two states."""

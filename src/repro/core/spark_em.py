@@ -32,7 +32,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..crowd.schema import TRUTH_SPARK_SCHEMA, TableSchema
+from ..crowd.schema import TRUTH_SPARK_SCHEMA, TableSchema, validate_answers
 from .em import (
     MAX_ITER,
     AnswerLayout,
@@ -59,10 +59,16 @@ def _estep_kernel(state: EMState, schema: TableSchema, priors: dict, posteriors:
     """Kernel for ``applyInPandas``: :func:`run_estep` over one column's
     answers, sorted by ``(row, worker)``. Returns the ``_STATS`` columns, one
     row per answer, or with ``posteriors`` the :func:`truth_frame` rows of
-    the column's cells."""
+    the column's cells.
+
+    Malformed answers raise :func:`validate_answers`' ``ValueError``. Every
+    check can be made one column at a time, since a duplicate never spans two
+    columns; the position it names counts within the column's sorted
+    answers, while the ids it names are the table's."""
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values(["row", "worker"], kind="stable").reset_index(drop=True)
+        validate_answers(pdf, schema)
         estimate, _, _, stats = run_estep(
             AnswerLayout.build(pdf, schema), state, priors, posteriors=posteriors
         )

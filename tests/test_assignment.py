@@ -234,6 +234,37 @@ def partial_view(view):
     return dataclasses.replace(view, answers=partial), w
 
 
+@pytest.fixture(scope="module")
+def restaurant_view(restaurant_ds):
+    res = tcrowd_em(restaurant_ds.answers, restaurant_ds.schema, max_iter=5)
+    return AssignmentView(restaurant_ds.schema, restaurant_ds.n_rows, restaurant_ds.answers, res)
+
+
+class TestObservedErrorsEqualReference:
+    """The worker's errors by index mask equal those of the merge with the
+    truth frame, row by row and in answer order."""
+
+    def _check(self, view, worker):
+        got = StructureAwarePolicy()._observed_errors(view, worker)
+        want = _ref_observed_errors(view, worker)
+        assert got == want
+        assert [(row, list(errs)) for row, errs in got.items()] == [
+            (row, list(errs)) for row, errs in want.items()
+        ]
+        return got
+
+    def test_partial_history(self, partial_view):
+        view2, w = partial_view
+        assert self._check(view2, w)
+
+    @pytest.mark.parametrize("worker", [0, 1, 7, 30])
+    def test_restaurant(self, restaurant_view, worker):
+        self._check(restaurant_view, worker)
+
+    def test_unseen_worker(self, restaurant_view):
+        assert self._check(restaurant_view, 10**6) == {}
+
+
 class TestCatIG:
     def _post(self, probs, n_un=0, p0=0.0):
         return _Post(np.asarray(probs, dtype=float), n_un, p0)

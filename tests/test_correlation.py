@@ -4,13 +4,18 @@ import pandas as pd
 import pytest
 
 from repro.core.correlation import (
+    _MIN_PAIRS,
+    _VAR_FLOOR,
     Bernoulli,
+    ErrorModel,
     Normal,
+    _fit_conditional,
     combined_conditional,
     compute_errors,
     conditional_error,
     fit_error_model,
 )
+from repro.core.em import tcrowd_em
 from repro.crowd.schema import CATEGORICAL, CONTINUOUS, ColumnSpec, TableSchema
 
 
@@ -72,6 +77,105 @@ class TestComputeErrors:
         want = np.where(m["col"] < 2, (m["value"] != m["truth"]).astype(float),
                         m["value"] - m["truth"])
         assert compute_errors(answers, truth, mixed_schema).tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the pandas fit the error grid replaced, kept verbatim.
+# ---------------------------------------------------------------------------
+
+
+def _ref_fit_error_model(
+    answers: pd.DataFrame, estimate: np.ndarray, schema: TableSchema
+) -> ErrorModel:
+    """Estimate the full §5.2 model from the answers so far and T̂ per flat cell."""
+    errs = answers[["worker", "row", "col"]].assign(err=compute_errors(answers, estimate, schema))
+    # (worker, row) × col error matrix: workers answer whole rows (HIT
+    # layout), so most rows of this pivot are complete.
+    grid = errs.pivot_table(
+        index=["worker", "row"], columns="col", values="err", aggfunc="mean"
+    )
+    m_cols = schema.n_cols
+    cat = set(schema.categorical_idx)
+
+    marginals: dict = {}
+    for j in range(m_cols):
+        col = grid[j].dropna().to_numpy() if j in grid.columns else np.array([])
+        if j in cat:
+            marginals[j] = Bernoulli(float(col.mean()) if len(col) else 0.5)
+        else:
+            mu = float(col.mean()) if len(col) else 0.0
+            var = float(col.var()) if len(col) > 1 else 1.0
+            marginals[j] = Normal(mu, max(var, _VAR_FLOOR))
+
+    w = np.zeros((m_cols, m_cols))
+    conditionals: dict = {}
+    for j in range(m_cols):
+        for k in range(m_cols):
+            if j == k or j not in grid.columns or k not in grid.columns:
+                continue
+            both = grid[[j, k]].dropna()
+            if len(both) < _MIN_PAIRS:
+                continue
+            ej = both[j].to_numpy()
+            ek = both[k].to_numpy()
+            sj, sk = ej.std(), ek.std()
+            w[j, k] = (
+                float(np.corrcoef(ej, ek)[0, 1]) if sj > 0 and sk > 0 else 0.0
+            )
+            if not np.isfinite(w[j, k]):
+                w[j, k] = 0.0
+            conditionals[(j, k)] = _fit_conditional(ej, ek, j in cat, k in cat)
+    return ErrorModel(schema=schema, marginals=marginals, conditionals=conditionals, w=w)
+
+
+def _assert_fit_equals_reference(answers, estimate, schema) -> ErrorModel:
+    """``fit_error_model`` gives the reference's model to the last bit (a
+    float's ``repr`` is exact and tells −0.0 from 0.0)."""
+    got = fit_error_model(answers, estimate, schema)
+    want = _ref_fit_error_model(answers, estimate, schema)
+    assert repr(got.marginals) == repr(want.marginals)
+    assert {key: repr(p) for key, p in got.conditionals.items()} == {
+        key: repr(p) for key, p in want.conditionals.items()
+    }
+    assert got.w.tobytes() == want.w.tobytes()
+    return got
+
+
+class TestFitEqualsReference:
+    """The error grid fits, bit for bit, the model of the pandas pivot it
+    replaced."""
+
+    def test_correlated_answers(self, mixed_schema):
+        _assert_fit_equals_reference(*_make_correlated_answers(), mixed_schema)
+
+    def test_tiny(self, tiny_ds, tiny_em):
+        _assert_fit_equals_reference(tiny_ds.answers, tiny_em.estimate, tiny_ds.schema)
+
+    def test_restaurant(self, restaurant_ds):
+        res = tcrowd_em(restaurant_ds.answers, restaurant_ds.schema, max_iter=5)
+        _assert_fit_equals_reference(restaurant_ds.answers, res.estimate, restaurant_ds.schema)
+
+    def test_shuffled_answer_order(self, tiny_ds, tiny_em):
+        shuffled = tiny_ds.answers.sample(frac=1.0, random_state=3).reset_index(drop=True)
+        _assert_fit_equals_reference(shuffled, tiny_em.estimate, tiny_ds.schema)
+
+    @pytest.mark.parametrize("empty", [1, 2])
+    def test_column_without_answers(self, tiny_ds, tiny_em, empty):
+        a = tiny_ds.answers
+        model = _assert_fit_equals_reference(
+            a[a["col"] != empty], tiny_em.estimate, tiny_ds.schema
+        )
+        assert not any(empty in key for key in model.conditionals)
+        assert not model.w[empty].any() and not model.w[:, empty].any()
+
+    @pytest.mark.parametrize("n_rows", [_MIN_PAIRS - 1, _MIN_PAIRS])
+    def test_pair_with_few_complete_rows(self, mixed_schema, n_rows):
+        """Column 3 answered in only ``n_rows`` rows: its pairs are fitted
+        from ``_MIN_PAIRS`` complete rows on."""
+        answers, truth = _make_correlated_answers()
+        sparse = answers[(answers["col"] != 3) | (answers["row"] < n_rows)]
+        model = _assert_fit_equals_reference(sparse, truth, mixed_schema)
+        assert ((2, 3) in model.conditionals) == (n_rows >= _MIN_PAIRS)
 
 
 class TestFitErrorModel:
@@ -159,8 +263,6 @@ class TestCombinedConditional:
 
 class TestOnRealGenerator:
     def test_restaurant_span_pair_positive_w(self, restaurant_ds):
-        from repro.core.em import tcrowd_em
-
         res = tcrowd_em(restaurant_ds.answers, restaurant_ds.schema, max_iter=10)
         model = fit_error_model(
             restaurant_ds.answers, res.estimate, restaurant_ds.schema

@@ -163,6 +163,27 @@ class TestRunSimulation:
                  "q_objective", "erf")
         assert all(calls[n] > 0 for n in names), calls
 
+    def test_structure_aware_loop_runs_without_pandas_reshapes(self, small_world, monkeypatch):
+        """The error-model refit and the observed errors of each arrival are
+        numpy: a structure-aware run calls no ``pivot_table`` or ``dropna``."""
+
+        def banned(*args, **kwargs):
+            raise AssertionError("pandas reshape in the online loop")
+
+        for name in ("pivot_table", "dropna"):
+            monkeypatch.setattr(pd.DataFrame, name, banned)
+        fits = []
+        fit = simulator.fit_error_model
+
+        def counted_fit(*args):
+            fits.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(simulator, "fit_error_model", counted_fit)
+        out = run_simulation(small_world, StructureAwarePolicy(), "tcrowd",
+                             self._cfg(max_answers_per_task=1.2, checkpoints=(1.0,)))
+        assert len(out) == 1 and fits
+
 
 class TestPinnedSimulation:
     def test_structure_aware_restaurant_matches_recorded_run(self):

@@ -90,6 +90,25 @@ def _assert_engines_agree(spark, ds, answers):
     np.testing.assert_allclose(sp.q_trace, ref.q_trace, rtol=1e-9)
 
 
+class TestMalformedAnswers:
+    """The Spark engine rejects the malformed answers the numpy engine
+    rejects, naming the first one."""
+
+    @pytest.mark.parametrize("case", ["nan", "duplicate", "bad_label"])
+    def test_rejected(self, spark, restaurant_ds, case):
+        a = restaurant_ds.answers.copy()
+        first = a.index[a["col"] == 3][0]
+        if case == "nan":
+            a.loc[first, "value"] = np.nan
+        elif case == "duplicate":
+            a = pd.concat([a, a.loc[[first]]], ignore_index=True)
+        else:
+            a.loc[a.index[a["col"] == 0][0], "value"] = 7.0  # column 0 has 5 labels
+        answers_df, _ = replace(restaurant_ds, answers=a).to_spark(spark)
+        with pytest.raises(Exception, match="malformed answer"):
+            tcrowd_em_spark(answers_df, restaurant_ds.schema, max_iter=2)
+
+
 class TestEstepKernel:
     """The ``applyInPandas`` kernel, called on a pandas group directly."""
 
